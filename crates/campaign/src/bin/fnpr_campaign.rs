@@ -626,9 +626,9 @@ fn parse_gc_policy(args: &[String]) -> Result<GcPolicy, String> {
     Ok(policy)
 }
 
-/// `store stats`: open the store **read-only** (validating every line —
-/// a legacy single-file store is served in place, never migrated) and
-/// report per-shard file sizes and record counts plus live entry totals.
+/// `store stats`: open the store **read-only** (validating every line)
+/// and report per-shard file sizes and record counts plus live entry
+/// totals.
 fn cmd_store_stats(path: &Path) -> ExitCode {
     // Counters on (load-time invalid/stale lines register in the obs
     // registry too); never any stderr chatter from this subcommand.
@@ -649,14 +649,6 @@ fn cmd_store_stats(path: &Path) -> ExitCode {
     let files = store.shard_files();
     let size: u64 = files.iter().map(|f| f.bytes).sum();
     println!("store: {}", path.display());
-    println!(
-        "layout: {}",
-        if store.is_sharded() {
-            "sharded directory (one log per table)"
-        } else {
-            "legacy single file (next writable open migrates it)"
-        }
-    );
     println!("file size: {size} bytes");
     println!(
         "analysis fingerprint: {:016x}",

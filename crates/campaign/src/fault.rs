@@ -598,7 +598,7 @@ mod tests {
 
     #[test]
     fn mangled_frames_change_but_stay_terminated() {
-        let frame = "FNPRW1 ok 3 9 0123456789abcdef {\"x\":1.5}\n".to_string();
+        let frame = crate::backend::FRAME_FORMAT.encode(&[1, 3], "{\"x\":1.5}");
         let corrupted = corrupt_line(&frame);
         assert_ne!(corrupted, frame);
         assert!(corrupted.ends_with('\n'));

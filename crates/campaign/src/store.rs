@@ -9,34 +9,28 @@
 //!
 //! # Layout
 //!
-//! The store is a **directory** holding one append-only text log per
+//! The store is a **directory** holding one append-only log per
 //! [`StoreTable`] (point tables plus the shared `(curve, Q)` bounds table),
 //! so million-entry sweeps load per-table and concurrent writer *processes*
-//! never contend on one file. A legacy single-file store (every table
-//! multiplexed into one log) is migrated to the sharded layout transparently
-//! on the first writable open; [`ResultStore::open_read_only`] reads either
-//! layout without side effects.
+//! never contend on one file. A store path that is a regular file is
+//! refused: the single-file layout of earlier releases is no longer read.
 //!
-//! Each record is a single line:
+//! Each record is one [`fnpr_obs::frame`] line in the [`STORE_FORMAT`]
+//! (`FNPR3`) format with head words `[tag, key_lo, key_hi, fingerprint,
+//! stamp]`:
 //!
-//! ```text
-//! FNPR2 <tag:8hex> <key:32hex> <fingerprint:16hex> <stamp> <len> <sum:16hex> <payload>
-//! ```
-//!
-//! * `FNPR2` — the record **format version**; `FNPR1` (the stampless
-//!   predecessor) still parses with `stamp = 0`, unknown versions are
-//!   ignored;
 //! * `tag` — the [`StoreTable`] the entry belongs to (notably the
 //!   `(curve, Q)` bounds table is *shared* between the `[cfg]` and
 //!   soundness workloads);
-//! * `key` — the 128-bit content address (structural scenario hash);
+//! * `key_lo`/`key_hi` — the 128-bit content address (structural scenario
+//!   hash);
 //! * `fingerprint` — the [`analysis_fingerprint`] of the writer; entries
 //!   from a different analysis version are treated as stale and recomputed;
 //! * `stamp` — unix seconds at write time, driving the `store gc` age/size
-//!   retention policies (never read into results);
-//! * `len`/`sum` — payload byte length and checksum, so truncated tails and
-//!   corrupted bytes are detected line-locally;
-//! * `payload` — the result as compact JSON (single line by construction).
+//!   retention policies (never read into results).
+//!
+//! The payload is the result as compact JSON (single line by
+//! construction). Lines of any other format version read as invalid.
 //!
 //! # Worker deltas
 //!
@@ -63,25 +57,21 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use fnpr_obs::frame::{self, Format};
 use serde::{Deserialize, Serialize};
 
 use crate::memo::ScenarioHasher;
 use crate::report::StoreStats;
 
-/// Magic token carrying the on-disk record format version. Bump on any
-/// record-layout change; old lines then read as invalid (or, as with
-/// [`LEGACY_FORMAT`], keep a dedicated parse arm) and recompute.
-pub const STORE_FORMAT: &str = "FNPR2";
-
-/// The stampless PR-5 record format, still parsed (with `stamp = 0`) so
-/// existing stores keep restoring without a rewrite.
-pub const LEGACY_FORMAT: &str = "FNPR1";
+/// The on-disk record format. Bump the magic on any record-layout change;
+/// old lines then read as invalid and recompute.
+pub const STORE_FORMAT: Format = Format::new("FNPR3", TAG_CHECKSUM);
 
 /// Version of the *result schemas* this crate writes (the point/bounds
 /// payload shapes). Folded into [`analysis_fingerprint`]; bump when a
@@ -230,16 +220,60 @@ pub fn bounds_key(curve: &fnpr_core::DelayCurve, q: f64) -> u128 {
         .finish128()
 }
 
-/// Outcome of one line parse during load.
-enum ParsedLine {
-    Valid {
-        tag: u32,
-        key: u128,
-        stamp: u64,
-        payload: String,
-    },
+/// One decoded record line.
+struct Record<'a> {
+    table: StoreTable,
+    key: u128,
+    fingerprint: u64,
+    stamp: u64,
+    payload: &'a str,
+}
+
+impl<'a> Record<'a> {
+    /// The record's line (trailing newline included).
+    fn encode(&self) -> String {
+        STORE_FORMAT.encode(
+            &[
+                u64::from(self.table.tag()),
+                self.key as u64,
+                (self.key >> 64) as u64,
+                self.fingerprint,
+                self.stamp,
+            ],
+            self.payload,
+        )
+    }
+
+    /// Decodes a line; `None` unless it is an undamaged record of a known
+    /// table.
+    fn decode(line: &'a str) -> Option<Self> {
+        let ([tag, key_lo, key_hi, fingerprint, stamp], payload) = STORE_FORMAT.decode(line)?;
+        Some(Self {
+            table: StoreTable::from_tag(u32::try_from(tag).ok()?)?,
+            key: (u128::from(key_hi) << 64) | u128::from(key_lo),
+            fingerprint,
+            stamp,
+            payload,
+        })
+    }
+}
+
+/// How one log line reads against the store's fingerprint.
+enum ParsedLine<'a> {
+    Valid(Record<'a>),
     Stale,
     Invalid,
+}
+
+/// Classifies one log line: [`ParsedLine::Invalid`] unless it decodes,
+/// [`ParsedLine::Stale`] when it was written under another analysis
+/// fingerprint.
+fn parse_record(line: &str, fingerprint: u64) -> ParsedLine<'_> {
+    match Record::decode(line) {
+        Some(record) if record.fingerprint == fingerprint => ParsedLine::Valid(record),
+        Some(_) => ParsedLine::Stale,
+        None => ParsedLine::Invalid,
+    }
 }
 
 /// Independently locked index shards, like [`crate::memo::Memo`]'s: cold
@@ -260,8 +294,7 @@ const DELTAS_DIR: &str = ".deltas";
 enum StoreMode {
     /// The canonical sharded directory: reads and appends in place.
     Sharded,
-    /// Index only — no append handles, no healing, no migration. Serves
-    /// `store stats` on either layout (including a legacy single file)
+    /// Index only — no append handles, no healing. Serves `store stats`
     /// without side effects.
     ReadOnly,
     /// A worker's view: index seeded from the canonical store, appends
@@ -315,17 +348,16 @@ struct LoadCounts {
 impl ResultStore {
     /// Opens (creating if absent) the store at `path` under the current
     /// build's [`analysis_fingerprint`]. `path` is the store *directory*
-    /// (one log file per table); a legacy single-file store at `path` is
-    /// migrated to the sharded layout first (the original is preserved as
-    /// `<path>.legacy` until the migration completes). Existing content is
-    /// indexed; truncated, corrupt, unknown-version or wrong-fingerprint
-    /// lines are counted and skipped — they can only cause recomputation,
-    /// never wrong data.
+    /// (one log file per table). Existing content is indexed; truncated,
+    /// corrupt, unknown-version or wrong-fingerprint lines are counted and
+    /// skipped — they can only cause recomputation, never wrong data.
     ///
     /// # Errors
     ///
     /// Real I/O failures only (unreadable existing files, uncreatable
-    /// directory); corrupt *content* is not an error.
+    /// directory), and [`std::io::ErrorKind::NotADirectory`] when `path` is
+    /// a regular file (the single-file layout is no longer read; the file
+    /// is left untouched). Corrupt *content* is not an error.
     pub fn open(path: &Path) -> std::io::Result<Self> {
         Self::open_with_fingerprint(path, analysis_fingerprint())
     }
@@ -337,145 +369,69 @@ impl ResultStore {
     ///
     /// As [`Self::open`].
     pub fn open_with_fingerprint(path: &Path, fingerprint: u64) -> std::io::Result<Self> {
-        migrate_legacy_if_needed(path)?;
-        std::fs::create_dir_all(path)?;
-        let mut entries: Vec<HashMap<(u32, u128), String>> =
-            (0..INDEX_SHARDS).map(|_| HashMap::new()).collect();
-        let mut counts = LoadCounts::default();
-        let mut files = Vec::with_capacity(StoreTable::ALL.len());
-        for table in StoreTable::ALL {
-            let file_path = path.join(table.file_name());
-            let unterminated = load_log_file(&file_path, fingerprint, &mut entries, &mut counts)?;
-            let mut file = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&file_path)?;
-            if unterminated {
-                // A crashed writer left a torn final line (already counted
-                // as invalid above); terminate it so healing appends start
-                // on a fresh line instead of gluing onto the wreckage.
-                file.write_all(b"\n")?;
-                counts.healed += 1;
-            }
-            files.push(Mutex::new(file));
-        }
-        counts.publish();
-        let mut store = Self::assemble(
-            path,
-            StoreMode::Sharded,
-            fingerprint,
-            entries,
-            Some(files),
-            &counts,
-        );
-        // Crash-safe resume: fold in whatever dead jobs left behind
-        // (worker deltas that were never merged, an in-progress marker
-        // from a killed coordinator) before anyone reads the index.
-        store.orphan_sweep = store.sweep_orphans();
-        Ok(store)
+        Self::open_in(path, StoreMode::Sharded, fingerprint)
     }
 
-    /// Opens the store at `path` for reading only — **no** migration, no
-    /// tail healing, no append handles; a legacy single-file store is read
-    /// in place. This is what `store stats` uses so inspecting a store
-    /// never mutates it. [`Self::put`] on a read-only store counts a write
-    /// error and drops the value.
+    /// Opens the store at `path` for reading only — no tail healing, no
+    /// append handles. This is what `store stats` uses so inspecting a
+    /// store never mutates it. [`Self::put`] on a read-only store counts a
+    /// write error and drops the value.
     ///
     /// # Errors
     ///
-    /// Real I/O failures reading existing files.
+    /// Real I/O failures reading existing files; a regular file at `path`
+    /// as for [`Self::open`].
     pub fn open_read_only(path: &Path) -> std::io::Result<Self> {
-        Self::open_read_only_with_fingerprint(path, analysis_fingerprint())
-    }
-
-    /// [`Self::open_read_only`] with an explicit fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::open_read_only`].
-    pub fn open_read_only_with_fingerprint(path: &Path, fingerprint: u64) -> std::io::Result<Self> {
-        let mut entries: Vec<HashMap<(u32, u128), String>> =
-            (0..INDEX_SHARDS).map(|_| HashMap::new()).collect();
-        let mut counts = LoadCounts::default();
-        load_store_tree(path, fingerprint, &mut entries, &mut counts)?;
-        counts.publish();
-        Ok(Self::assemble(
-            path,
-            StoreMode::ReadOnly,
-            fingerprint,
-            entries,
-            None,
-            &counts,
-        ))
+        Self::open_in(path, StoreMode::ReadOnly, analysis_fingerprint())
     }
 
     /// Opens a worker's **delta view**: the canonical store at `canonical`
-    /// (either layout) seeds the index read-only, and every write appends
-    /// into `delta_dir` — same per-table layout, private to this worker, so
-    /// concurrent worker processes never contend on the canonical files.
-    /// The coordinator folds the delta back with [`Self::merge_delta`].
+    /// seeds the index read-only, and every write appends into `delta_dir`
+    /// — same per-table layout, private to this worker, so concurrent
+    /// worker processes never contend on the canonical files. The
+    /// coordinator folds the delta back with [`Self::merge_delta`].
     ///
     /// # Errors
     ///
     /// Real I/O failures reading the canonical store or creating the delta
-    /// directory.
+    /// directory; a regular file at `canonical` as for [`Self::open`].
     pub fn open_delta(canonical: &Path, delta_dir: &Path) -> std::io::Result<Self> {
-        Self::open_delta_with_fingerprint(canonical, delta_dir, analysis_fingerprint())
+        let mode = StoreMode::Delta {
+            delta_dir: delta_dir.to_path_buf(),
+        };
+        Self::open_in(canonical, mode, analysis_fingerprint())
     }
 
-    /// [`Self::open_delta`] with an explicit fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::open_delta`].
-    pub fn open_delta_with_fingerprint(
-        canonical: &Path,
-        delta_dir: &Path,
-        fingerprint: u64,
-    ) -> std::io::Result<Self> {
+    fn open_in(path: &Path, mode: StoreMode, fingerprint: u64) -> std::io::Result<Self> {
+        refuse_single_file(path)?;
         let mut entries: Vec<HashMap<(u32, u128), String>> =
             (0..INDEX_SHARDS).map(|_| HashMap::new()).collect();
         let mut counts = LoadCounts::default();
-        load_store_tree(canonical, fingerprint, &mut entries, &mut counts)?;
-        std::fs::create_dir_all(delta_dir)?;
-        let mut files = Vec::with_capacity(StoreTable::ALL.len());
-        for table in StoreTable::ALL {
-            let file_path = delta_dir.join(table.file_name());
-            // Delta entries written after the canonical load supersede it
-            // in the index, mirroring the within-process upgrade semantics.
-            let unterminated = load_log_file(&file_path, fingerprint, &mut entries, &mut counts)?;
-            let mut file = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&file_path)?;
-            if unterminated {
-                file.write_all(b"\n")?;
-                counts.healed += 1;
+        let files = match &mode {
+            StoreMode::Sharded => {
+                std::fs::create_dir_all(path)?;
+                Some(open_tables(path, fingerprint, &mut entries, &mut counts)?)
             }
-            files.push(Mutex::new(file));
-        }
+            StoreMode::ReadOnly => {
+                load_tables(path, fingerprint, &mut entries, &mut counts)?;
+                None
+            }
+            StoreMode::Delta { delta_dir } => {
+                load_tables(path, fingerprint, &mut entries, &mut counts)?;
+                std::fs::create_dir_all(delta_dir)?;
+                // Delta entries written after the canonical load supersede
+                // it in the index, mirroring the within-process upgrade
+                // semantics.
+                Some(open_tables(
+                    delta_dir,
+                    fingerprint,
+                    &mut entries,
+                    &mut counts,
+                )?)
+            }
+        };
         counts.publish();
-        Ok(Self::assemble(
-            canonical,
-            StoreMode::Delta {
-                delta_dir: delta_dir.to_path_buf(),
-            },
-            fingerprint,
-            entries,
-            Some(files),
-            &counts,
-        ))
-    }
-
-    fn assemble(
-        path: &Path,
-        mode: StoreMode,
-        fingerprint: u64,
-        entries: Vec<HashMap<(u32, u128), String>>,
-        files: Option<Vec<Mutex<File>>>,
-        counts: &LoadCounts,
-    ) -> Self {
-        Self {
+        let mut store = Self {
             path: path.to_path_buf(),
             mode,
             fingerprint,
@@ -490,32 +446,20 @@ impl ResultStore {
             write_errors: AtomicU64::new(0),
             warned_write: AtomicBool::new(false),
             orphan_sweep: OrphanSweep::default(),
+        };
+        if matches!(store.mode, StoreMode::Sharded) {
+            // Crash-safe resume: fold in whatever dead jobs left behind
+            // (worker deltas that were never merged, an in-progress marker
+            // from a killed coordinator) before anyone reads the index.
+            store.orphan_sweep = store.sweep_orphans();
         }
+        Ok(store)
     }
 
-    /// The canonical store path (the directory, or the legacy file for a
-    /// read-only legacy open).
+    /// The canonical store directory.
     #[must_use]
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// `true` when this handle reads the sharded directory layout (as
-    /// opposed to a legacy single file opened read-only).
-    #[must_use]
-    pub fn is_sharded(&self) -> bool {
-        !self.path.is_file()
-    }
-
-    /// Where appends from this handle land: the delta directory for a
-    /// worker view, the store directory otherwise, `None` when read-only.
-    #[must_use]
-    pub fn write_dir(&self) -> Option<PathBuf> {
-        match &self.mode {
-            StoreMode::Sharded => Some(self.path.clone()),
-            StoreMode::ReadOnly => None,
-            StoreMode::Delta { delta_dir } => Some(delta_dir.clone()),
-        }
     }
 
     /// Marks a run as in progress: writes the `campaign.inprogress`
@@ -696,13 +640,14 @@ impl ResultStore {
             self.count_write_error("store is read-only");
             return;
         };
-        let line = format_record(
-            table.tag(),
+        let line = Record {
+            table,
             key,
-            self.fingerprint,
-            fnpr_obs::ledger::unix_now(),
-            &payload,
-        );
+            fingerprint: self.fingerprint,
+            stamp: fnpr_obs::ledger::unix_now(),
+            payload: &payload,
+        }
+        .encode();
         // Hold the table's file lock across the index insert too: `gc`
         // snapshots under the file locks, so an entry must never be on
         // disk without being indexed (the reverse order would let a
@@ -811,25 +756,15 @@ impl ResultStore {
     }
 
     /// Per-shard file inventory for `store stats`: each table's file path,
-    /// on-disk size and live record count. A legacy single-file store
-    /// (read-only open) reports one row with `table = None` covering the
-    /// whole file.
+    /// on-disk size and live record count.
     #[must_use]
     pub fn shard_files(&self) -> Vec<ShardFileInfo> {
-        if self.path.is_file() {
-            return vec![ShardFileInfo {
-                table: None,
-                path: self.path.clone(),
-                bytes: std::fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0),
-                records: self.table_counts().into_iter().map(|(_, n)| n).sum(),
-            }];
-        }
         self.table_counts()
             .into_iter()
             .map(|(table, records)| {
                 let path = self.path.join(table.file_name());
                 ShardFileInfo {
-                    table: Some(table),
+                    table,
                     path: path.clone(),
                     bytes: std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0),
                     records,
@@ -860,58 +795,16 @@ impl ResultStore {
         };
         let mut report = MergeReport::default();
         for table in StoreTable::ALL {
-            let delta_path = delta_dir.join(table.file_name());
-            let bytes = match std::fs::read(&delta_path) {
-                Ok(bytes) => bytes,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(e),
-            };
-            let text = String::from_utf8_lossy(&bytes);
-            // A torn final line (no trailing newline) parses as invalid
-            // below — merge heals around it rather than rejecting the
-            // whole delta.
-            for line in text.lines() {
-                if line.is_empty() {
-                    continue;
+            // A torn final line (no trailing newline) reads as invalid —
+            // merge heals around it rather than rejecting the whole delta.
+            let mut failed = None;
+            read_table(&delta_dir.join(table.file_name()), |line| {
+                if failed.is_none() {
+                    failed = self.merge_line(files, table, line, &mut report).err();
                 }
-                match parse_record(line, self.fingerprint) {
-                    ParsedLine::Valid {
-                        tag,
-                        key,
-                        stamp,
-                        payload,
-                    } => {
-                        if StoreTable::from_tag(tag) != Some(table) {
-                            // A record filed under the wrong table file
-                            // still merges into its own table; count it so
-                            // misplaced writers are visible.
-                            report.misfiled += 1;
-                        }
-                        // First losslessly-encoded record wins: hold the
-                        // file lock across the presence check, append and
-                        // index insert (same invariant as `put`).
-                        let target = StoreTable::from_tag(tag).map_or(table, |t| t);
-                        let mut file = files[target.index()].lock().expect("store file poisoned");
-                        let shard = &self.entries[index_shard(key)];
-                        let present = shard
-                            .lock()
-                            .expect("store index poisoned")
-                            .contains_key(&(tag, key));
-                        if present {
-                            report.duplicate += 1;
-                            continue;
-                        }
-                        let line = format_record(tag, key, self.fingerprint, stamp, &payload);
-                        file.write_all(line.as_bytes())?;
-                        shard
-                            .lock()
-                            .expect("store index poisoned")
-                            .insert((tag, key), payload);
-                        report.merged += 1;
-                    }
-                    ParsedLine::Stale => report.stale += 1,
-                    ParsedLine::Invalid => report.invalid += 1,
-                }
+            })?;
+            if let Some(e) = failed {
+                return Err(e);
             }
         }
         fnpr_obs::counter!("campaign.store.shard.delta.merged").add(report.merged);
@@ -919,6 +812,56 @@ impl ResultStore {
         fnpr_obs::counter!("campaign.store.shard.delta.invalid").add(report.invalid);
         fnpr_obs::counter!("campaign.store.shard.delta.stale").add(report.stale);
         Ok(report)
+    }
+
+    /// Merges one delta line found in `table`'s delta file: appends and
+    /// indexes it unless its key is already present.
+    fn merge_line(
+        &self,
+        files: &[Mutex<File>],
+        table: StoreTable,
+        line: &str,
+        report: &mut MergeReport,
+    ) -> std::io::Result<()> {
+        let record = match parse_record(line, self.fingerprint) {
+            ParsedLine::Valid(record) => record,
+            ParsedLine::Stale => {
+                report.stale += 1;
+                return Ok(());
+            }
+            ParsedLine::Invalid => {
+                report.invalid += 1;
+                return Ok(());
+            }
+        };
+        if record.table != table {
+            // A record filed under the wrong table file still merges into
+            // its own table; count it so misplaced writers are visible.
+            report.misfiled += 1;
+        }
+        // First losslessly-encoded record wins: hold the file lock across
+        // the presence check, append and index insert (same invariant as
+        // `put`).
+        let mut file = files[record.table.index()]
+            .lock()
+            .expect("store file poisoned");
+        let shard = &self.entries[index_shard(record.key)];
+        let index_key = (record.table.tag(), record.key);
+        if shard
+            .lock()
+            .expect("store index poisoned")
+            .contains_key(&index_key)
+        {
+            report.duplicate += 1;
+            return Ok(());
+        }
+        file.write_all(record.encode().as_bytes())?;
+        shard
+            .lock()
+            .expect("store index poisoned")
+            .insert(index_key, record.payload.to_string());
+        report.merged += 1;
+        Ok(())
     }
 
     /// [`Self::gc_with`] under the default (structural-only) policy.
@@ -933,8 +876,7 @@ impl ResultStore {
     /// Rewrites every table file keeping exactly the live entries:
     /// duplicates (superseded appends), invalid, stale and unknown-version
     /// lines are dropped, then the retention `policy` evicts live entries
-    /// **oldest-first** (by write stamp; `FNPR1`-era records carry stamp 0
-    /// and evict first). Each rewrite goes through a sibling temp file +
+    /// **oldest-first** (by write stamp). Each rewrite goes through a sibling temp file +
     /// rename, so a crash mid-gc leaves either the old or the new file,
     /// never a torn one. Returns what was scanned, kept, dropped, evicted
     /// and reclaimed.
@@ -964,29 +906,12 @@ impl ResultStore {
         // from disk (not the index) because stamps only live in the files.
         let mut live: BTreeMap<(u32, u128), (u64, String)> = BTreeMap::new();
         for table in StoreTable::ALL {
-            let file_path = self.table_file_path(table);
-            let bytes = match std::fs::read(&file_path) {
-                Ok(bytes) => bytes,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(e),
-            };
-            bytes_before += bytes.len() as u64;
-            let text = String::from_utf8_lossy(&bytes);
-            for line in text.lines() {
-                if line.is_empty() {
-                    continue;
-                }
+            bytes_before += read_table(&self.table_file_path(table), |line| {
                 scanned += 1;
-                if let ParsedLine::Valid {
-                    tag,
-                    key,
-                    stamp,
-                    payload,
-                } = parse_record(line, self.fingerprint)
-                {
-                    live.insert((tag, key), (stamp, payload));
+                if let ParsedLine::Valid(r) = parse_record(line, self.fingerprint) {
+                    live.insert((r.table.tag(), r.key), (r.stamp, r.payload.to_string()));
                 }
-            }
+            })?;
         }
         let structurally_live = live.len();
 
@@ -999,38 +924,54 @@ impl ResultStore {
             live.retain(|_, (stamp, _)| *stamp >= cutoff);
             evicted += before - live.len();
         }
+        // Every tag in `live` came from a valid record, so `from_tag` holds.
+        let line = |(tag, key): (u32, u128), stamp: u64, payload: &str| {
+            StoreTable::from_tag(tag).map(|table| {
+                let record = Record {
+                    table,
+                    key,
+                    fingerprint: self.fingerprint,
+                    stamp,
+                    payload,
+                };
+                (table, record.encode())
+            })
+        };
         let mut records: Vec<((u32, u128), (u64, String))> = live.into_iter().collect();
         // Eviction and output order: oldest first, then (tag, key).
         records.sort_by_key(|a| (a.1 .0, a.0));
         if let Some(max_bytes) = policy.max_bytes {
-            let mut sizes: Vec<u64> = records
+            let sizes: Vec<u64> = records
                 .iter()
-                .map(|((tag, key), (stamp, payload))| {
-                    format_record(*tag, *key, self.fingerprint, *stamp, payload).len() as u64
+                .map(|(id, (stamp, payload))| {
+                    line(*id, *stamp, payload).map_or(0, |(_, l)| l.len() as u64)
                 })
                 .collect();
-            let mut total: u64 = sizes.iter().sum();
-            while total > max_bytes && !records.is_empty() {
-                records.remove(0);
-                total -= sizes.remove(0);
-                evicted += 1;
-            }
+            // The shortest oldest-first prefix whose eviction fits the rest.
+            let mut rest: u64 = sizes.iter().sum();
+            let cut = sizes
+                .iter()
+                .take_while(|&&size| {
+                    let over = rest > max_bytes;
+                    if over {
+                        rest -= size;
+                    }
+                    over
+                })
+                .count();
+            records.drain(..cut);
+            evicted += cut;
         }
 
         // Rewrite each table file (sorted by (tag, key) for deterministic
         // output), then swap in the index matching the survivors.
-        records.sort_by_key(|&((tag, key), _)| (tag, key));
+        records.sort_by_key(|&(id, _)| id);
         let kept = records.len();
         let mut per_table: Vec<String> = vec![String::new(); StoreTable::ALL.len()];
-        for ((tag, key), (stamp, payload)) in &records {
-            let idx = StoreTable::from_tag(*tag).map_or(0, StoreTable::index);
-            per_table[idx].push_str(&format_record(
-                *tag,
-                *key,
-                self.fingerprint,
-                *stamp,
-                payload,
-            ));
+        for (id, (stamp, payload)) in &records {
+            if let Some((table, l)) = line(*id, *stamp, payload) {
+                per_table[table.index()].push_str(&l);
+            }
         }
         let mut bytes_after = 0u64;
         for (i, table) in StoreTable::ALL.into_iter().enumerate() {
@@ -1040,19 +981,16 @@ impl ResultStore {
             std::fs::rename(&tmp, &file_path)?;
             bytes_after += per_table[i].len() as u64;
             // Reopen the append handle on the fresh file.
-            *guards[i] = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&file_path)?;
+            *guards[i] = frame::open_append(&file_path)?.0;
         }
         for shard in &self.entries {
             shard.lock().expect("store index poisoned").clear();
         }
-        for ((tag, key), (_, payload)) in records {
-            self.entries[index_shard(key)]
+        for (id, (_, payload)) in records {
+            self.entries[index_shard(id.1)]
                 .lock()
                 .expect("store index poisoned")
-                .insert((tag, key), payload);
+                .insert(id, payload);
         }
         let report = GcReport {
             scanned,
@@ -1089,9 +1027,8 @@ impl LoadCounts {
 /// One row of [`ResultStore::shard_files`].
 #[derive(Debug, Clone)]
 pub struct ShardFileInfo {
-    /// The table this file holds; `None` for a legacy single-file store
-    /// (every table multiplexed together).
-    pub table: Option<StoreTable>,
+    /// The table this file holds.
+    pub table: StoreTable,
     /// The file's path.
     pub path: PathBuf,
     /// On-disk size in bytes (0 if the file does not exist yet).
@@ -1251,274 +1188,95 @@ impl GcReport {
     }
 }
 
-/// Loads one log file into the index shards; returns whether the file
-/// ended mid-line (a torn tail the caller may heal). Missing files load as
-/// empty.
+/// Feeds every line of the table log at `path` to `each`; a missing log
+/// reads as empty. Returns the bytes read.
+fn read_table(path: &Path, each: impl FnMut(&str)) -> std::io::Result<u64> {
+    match frame::read_file_lines(path, each) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(0),
+        other => other,
+    }
+}
+
+/// Loads one log file into the index shards. Missing files load as empty.
 fn load_log_file(
     path: &Path,
     fingerprint: u64,
     entries: &mut [HashMap<(u32, u128), String>],
     counts: &mut LoadCounts,
-) -> std::io::Result<bool> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-        Err(e) => return Err(e),
-    };
-    let unterminated = bytes.last().is_some_and(|&b| b != b'\n');
-    // Lossy decoding: a line with invalid UTF-8 cannot checksum correctly
-    // and parses as invalid, which is exactly right.
-    let text = String::from_utf8_lossy(&bytes);
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
+) -> std::io::Result<()> {
+    read_table(path, |line| match parse_record(line, fingerprint) {
+        ParsedLine::Valid(r) => {
+            // Later lines supersede earlier ones (append-only upgrades,
+            // e.g. a bounds entry completed by a soundness run).
+            entries[index_shard(r.key)].insert((r.table.tag(), r.key), r.payload.to_string());
         }
-        match parse_record(line, fingerprint) {
-            ParsedLine::Valid {
-                tag, key, payload, ..
-            } => {
-                // Later lines supersede earlier ones (append-only upgrades,
-                // e.g. a bounds entry completed by a soundness run).
-                entries[index_shard(key)].insert((tag, key), payload);
-            }
-            ParsedLine::Stale => counts.stale += 1,
-            ParsedLine::Invalid => counts.invalid += 1,
-        }
-    }
-    Ok(unterminated)
+        ParsedLine::Stale => counts.stale += 1,
+        ParsedLine::Invalid => counts.invalid += 1,
+    })?;
+    Ok(())
 }
 
-/// Loads a store at `path` in either layout — a sharded directory or a
-/// legacy single file — without mutating anything.
-fn load_store_tree(
+/// Loads every table log under the store directory `dir` and opens each
+/// for appending, healing torn tails left by crashed writers (the torn
+/// line itself was already counted invalid by the load).
+fn open_tables(
+    dir: &Path,
+    fingerprint: u64,
+    entries: &mut [HashMap<(u32, u128), String>],
+    counts: &mut LoadCounts,
+) -> std::io::Result<Vec<Mutex<File>>> {
+    let mut files = Vec::with_capacity(StoreTable::ALL.len());
+    for table in StoreTable::ALL {
+        let path = dir.join(table.file_name());
+        load_log_file(&path, fingerprint, entries, counts)?;
+        let (file, healed) = frame::open_append(&path)?;
+        counts.healed += u64::from(healed);
+        files.push(Mutex::new(file));
+    }
+    Ok(files)
+}
+
+/// Loads every table log of the store directory at `path` (if it
+/// exists) without mutating anything.
+fn load_tables(
     path: &Path,
     fingerprint: u64,
     entries: &mut [HashMap<(u32, u128), String>],
     counts: &mut LoadCounts,
 ) -> std::io::Result<()> {
-    if path.is_file() {
-        load_log_file(path, fingerprint, entries, counts)?;
-        return Ok(());
-    }
-    if path.is_dir() {
-        for table in StoreTable::ALL {
-            load_log_file(&path.join(table.file_name()), fingerprint, entries, counts)?;
-        }
+    for table in StoreTable::ALL {
+        load_log_file(&path.join(table.file_name()), fingerprint, entries, counts)?;
     }
     Ok(())
 }
 
-/// Migrates a legacy single-file store at `path` into the sharded
-/// directory layout, in place. Crash-safe by ordering:
-///
-/// 1. the sharded files are written into `<path>.migrate-tmp`;
-/// 2. the legacy file is renamed to `<path>.legacy`;
-/// 3. the temp directory is renamed to `path`;
-/// 4. the `.legacy` backup is removed.
-///
-/// A crash between (2) and (3) is recovered on the next open by renaming
-/// the backup back; a crash between (3) and (4) just leaves a stray backup
-/// that the next open deletes. Parseable records of **any** fingerprint
-/// are carried over (stale entries remain gc-able, exactly as they were in
-/// the legacy file); unparseable lines are dropped and counted. `FNPR1`
-/// records are re-stamped with the migration time (their age was never
-/// recorded).
-fn migrate_legacy_if_needed(path: &Path) -> std::io::Result<()> {
-    let backup = path_with_suffix(path, ".legacy");
-    if backup.is_file() && !path.exists() {
-        // Crashed between steps (2) and (3): restore and redo.
-        std::fs::rename(&backup, path)?;
+/// Rejects a store path that is a regular file — the single-file layout
+/// of earlier releases — without touching it.
+fn refuse_single_file(path: &Path) -> std::io::Result<()> {
+    if path.is_file() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::NotADirectory,
+            format!(
+                "{} is a regular file: single-file result stores are no longer read \
+                 (point the store at a directory)",
+                path.display()
+            ),
+        ));
     }
-    if path.is_dir() {
-        if backup.is_file() {
-            // Crashed between steps (3) and (4): migration completed.
-            std::fs::remove_file(&backup)?;
-        }
-        return Ok(());
-    }
-    if !path.is_file() {
-        return Ok(()); // Fresh store: nothing to migrate.
-    }
-    let bytes = std::fs::read(path)?;
-    let text = String::from_utf8_lossy(&bytes);
-    let now = fnpr_obs::ledger::unix_now();
-    let mut per_table: Vec<String> = vec![String::new(); StoreTable::ALL.len()];
-    let mut migrated = 0u64;
-    let mut dropped = 0u64;
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        // Carry over any well-formed record regardless of fingerprint:
-        // parse against an impossible fingerprint and accept `Stale` by
-        // re-parsing the actual fields.
-        match parse_any_fingerprint(line) {
-            Some((tag, key, fp, stamp, payload)) => {
-                let idx = StoreTable::from_tag(tag).map_or(0, StoreTable::index);
-                let stamp = if stamp == 0 { now } else { stamp };
-                per_table[idx].push_str(&format_record(tag, key, fp, stamp, &payload));
-                migrated += 1;
-            }
-            None => dropped += 1,
-        }
-    }
-    let tmp = path_with_suffix(path, ".migrate-tmp");
-    if tmp.exists() {
-        std::fs::remove_dir_all(&tmp)?;
-    }
-    std::fs::create_dir_all(&tmp)?;
-    for (i, table) in StoreTable::ALL.into_iter().enumerate() {
-        std::fs::write(tmp.join(table.file_name()), &per_table[i])?;
-    }
-    std::fs::rename(path, &backup)?;
-    std::fs::rename(&tmp, path)?;
-    std::fs::remove_file(&backup)?;
-    fnpr_obs::counter!("campaign.store.shard.migrated").add(migrated);
-    fnpr_obs::counter!("campaign.store.shard.migrate_dropped").add(dropped);
     Ok(())
 }
 
 /// `path` with `suffix` appended to its final component (not an extension
-/// swap: `store.log` + `.legacy` = `store.log.legacy`, so sibling stores
-/// `store.log` / `store.db` can never collide on one backup name).
+/// swap: `bounds.tbl` + `.gc-tmp` = `bounds.tbl.gc-tmp`).
 fn path_with_suffix(path: &Path, suffix: &str) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
     os.push(suffix);
     PathBuf::from(os)
 }
 
-/// Formats one record line (trailing newline included).
-fn format_record(tag: u32, key: u128, fingerprint: u64, stamp: u64, payload: &str) -> String {
-    format!(
-        "{STORE_FORMAT} {tag:08x} {key:032x} {fingerprint:016x} {stamp} {len} {sum:016x} {payload}\n",
-        len = payload.len(),
-        sum = checksum_v2(tag, key, fingerprint, stamp, payload),
-    )
-}
-
-/// `FNPR1` record checksum over every content-bearing field — table tag,
-/// key, fingerprint and payload text — so a bit flip anywhere in the line
-/// (not just the payload) fails validation and counts as invalid, rather
-/// than indexing a well-formed payload under a corrupted key or
-/// misclassifying its analysis version.
-fn checksum(tag: u32, key: u128, fingerprint: u64, payload: &str) -> u64 {
-    ScenarioHasher::new(TAG_CHECKSUM)
-        .word(u64::from(tag))
-        .word128(key)
-        .word(fingerprint)
-        .str(payload)
-        .finish()
-}
-
-/// `FNPR2` record checksum: the [`checksum`] fields plus the write stamp.
-fn checksum_v2(tag: u32, key: u128, fingerprint: u64, stamp: u64, payload: &str) -> u64 {
-    ScenarioHasher::new(TAG_CHECKSUM)
-        .word(u64::from(tag))
-        .word128(key)
-        .word(fingerprint)
-        .word(stamp)
-        .str(payload)
-        .finish()
-}
-
 /// Index shard for a key: by the low word, like the in-RAM memo tables.
 fn index_shard(key: u128) -> usize {
     (key as u64 as usize) % INDEX_SHARDS
-}
-
-/// Parses one log line against `fingerprint`. Anything malformed —
-/// unknown format token, bad hex, wrong payload length (truncation), wrong
-/// checksum (corruption), unknown table tag — is [`ParsedLine::Invalid`];
-/// a well-formed line from another analysis version is
-/// [`ParsedLine::Stale`]. Both `FNPR2` (stamped) and legacy `FNPR1`
-/// (stamp 0) records parse.
-fn parse_record(line: &str, fingerprint: u64) -> ParsedLine {
-    match parse_any_fingerprint(line) {
-        Some((tag, key, fp, stamp, payload)) => {
-            if fp != fingerprint {
-                ParsedLine::Stale
-            } else {
-                ParsedLine::Valid {
-                    tag,
-                    key,
-                    stamp,
-                    payload,
-                }
-            }
-        }
-        None => ParsedLine::Invalid,
-    }
-}
-
-/// The fingerprint-agnostic half of [`parse_record`]: structural and
-/// checksum validation only. `None` = invalid line.
-#[allow(clippy::type_complexity)]
-fn parse_any_fingerprint(line: &str) -> Option<(u32, u128, u64, u64, String)> {
-    let (magic, rest) = line.split_once(' ')?;
-    let v2 = match magic {
-        m if m == STORE_FORMAT => true,
-        m if m == LEGACY_FORMAT => false,
-        _ => return None,
-    };
-    if v2 {
-        let mut parts = rest.splitn(7, ' ');
-        let (Some(tag), Some(key), Some(fp), Some(stamp), Some(len), Some(sum), Some(payload)) = (
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-        ) else {
-            return None;
-        };
-        let (Ok(tag), Ok(key), Ok(fp), Ok(stamp), Ok(len), Ok(sum)) = (
-            u32::from_str_radix(tag, 16),
-            u128::from_str_radix(key, 16),
-            u64::from_str_radix(fp, 16),
-            stamp.parse::<u64>(),
-            len.parse::<usize>(),
-            u64::from_str_radix(sum, 16),
-        ) else {
-            return None;
-        };
-        if StoreTable::from_tag(tag).is_none()
-            || payload.len() != len
-            || checksum_v2(tag, key, fp, stamp, payload) != sum
-        {
-            return None;
-        }
-        Some((tag, key, fp, stamp, payload.to_string()))
-    } else {
-        let mut parts = rest.splitn(6, ' ');
-        let (Some(tag), Some(key), Some(fp), Some(len), Some(sum), Some(payload)) = (
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-            parts.next(),
-        ) else {
-            return None;
-        };
-        let (Ok(tag), Ok(key), Ok(fp), Ok(len), Ok(sum)) = (
-            u32::from_str_radix(tag, 16),
-            u128::from_str_radix(key, 16),
-            u64::from_str_radix(fp, 16),
-            len.parse::<usize>(),
-            u64::from_str_radix(sum, 16),
-        ) else {
-            return None;
-        };
-        if StoreTable::from_tag(tag).is_none()
-            || payload.len() != len
-            || checksum(tag, key, fp, payload) != sum
-        {
-            return None;
-        }
-        Some((tag, key, fp, 0, payload.to_string()))
-    }
 }
 
 #[cfg(test)]
@@ -1527,6 +1285,60 @@ mod tests {
 
     fn temp_store_path(name: &str) -> PathBuf {
         crate::testutil::scratch_dir("store_unit").join(name)
+    }
+
+    /// One encoded record line under an explicit fingerprint and stamp.
+    fn record_line(
+        table: StoreTable,
+        key: u128,
+        fingerprint: u64,
+        stamp: u64,
+        payload: &str,
+    ) -> String {
+        Record {
+            table,
+            key,
+            fingerprint,
+            stamp,
+            payload,
+        }
+        .encode()
+    }
+
+    #[test]
+    fn record_checksum_matches_the_previous_layout() {
+        // Same head words, same domain: the checksum of a record is the
+        // value the pre-codec layout computed for the same fields.
+        let key: u128 = 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210;
+        let head = [
+            u64::from(StoreTable::Bounds.tag()),
+            key as u64,
+            (key >> 64) as u64,
+            0x1111_2222_3333_4444,
+            1_700_000_000,
+        ];
+        assert_eq!(
+            STORE_FORMAT.checksum(&head, "{\"alg1\":1.5}"),
+            0xf6b6_2a14_56c7_cef6
+        );
+        let line = record_line(
+            StoreTable::Bounds,
+            key,
+            0x1111_2222_3333_4444,
+            1_700_000_000,
+            "{}",
+        );
+        let record = Record::decode(line.trim_end()).expect("round trip");
+        assert_eq!(
+            (record.table, record.key, record.payload),
+            (StoreTable::Bounds, key, "{}")
+        );
+        // A well-framed line of an unknown table reads as invalid.
+        let unknown = STORE_FORMAT.encode(&[0x5858_5858, 1, 0, analysis_fingerprint(), 1], "{}");
+        assert!(matches!(
+            parse_record(unknown.trim_end(), analysis_fingerprint()),
+            ParsedLine::Invalid
+        ));
     }
 
     /// The bounds table's log file under a sharded store directory.
@@ -1548,7 +1360,6 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.invalid_entries, 0);
         assert_eq!(stats.stale_entries, 0);
-        assert!(store.is_sharded());
         assert!(path.is_dir(), "a fresh store is a directory");
     }
 
@@ -1607,87 +1418,6 @@ mod tests {
         store.put(StoreTable::Bounds, 2, &2.0f64);
         let again = ResultStore::open(&path).unwrap();
         assert_eq!(again.get::<f64>(StoreTable::Bounds, 2), Some(2.0));
-    }
-
-    #[test]
-    fn garbage_bytes_and_unknown_versions_are_skipped() {
-        let path = temp_store_path("garbage.log");
-        {
-            let store = ResultStore::open(&path).unwrap();
-            store.put(StoreTable::Bounds, 1, &1.0f64);
-        }
-        // Prepend binary garbage, append an unknown-version line and a
-        // checksum-corrupted copy of a valid line.
-        let tbl = bounds_file(&path);
-        let mut bytes = vec![0xFFu8, 0xFE, 0x00, b'\n'];
-        let original = std::fs::read(&tbl).unwrap();
-        bytes.extend_from_slice(&original);
-        bytes.extend_from_slice(b"FNPR9 00000000 0 0 1 0 x\n");
-        let valid_line = String::from_utf8(original).unwrap();
-        bytes.extend_from_slice(valid_line.replace("1.0", "9.0").as_bytes());
-        std::fs::write(&tbl, bytes).unwrap();
-        let store = ResultStore::open(&path).unwrap();
-        // The corrupted duplicate must NOT supersede the valid entry.
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 1), Some(1.0));
-        assert_eq!(store.stats().invalid_entries, 3);
-    }
-
-    #[test]
-    fn header_corruption_fails_the_checksum() {
-        // A bit flip in the key/tag/fingerprint fields — payload intact —
-        // must read as invalid, not index the payload under a wrong key.
-        let path = temp_store_path("header.log");
-        {
-            let store = ResultStore::open(&path).unwrap();
-            store.put(StoreTable::Bounds, 0x1111, &1.0f64);
-        }
-        let tbl = bounds_file(&path);
-        let line = std::fs::read_to_string(&tbl).unwrap();
-        let fields: Vec<&str> = line.trim_end().splitn(8, ' ').collect();
-        assert_eq!(fields.len(), 8, "FNPR2 records have 8 fields");
-        for (field, replacement) in [(1, "42434e44"), (2, &"f".repeat(32)[..])] {
-            let mut mutated = fields.clone();
-            mutated[field] = replacement;
-            std::fs::write(&tbl, mutated.join(" ") + "\n").unwrap();
-            let store = ResultStore::open(&path).unwrap();
-            assert_eq!(
-                store.get::<f64>(StoreTable::Bounds, 0x1111),
-                None,
-                "field {field} corruption survived"
-            );
-            assert_eq!(
-                store.table_counts().iter().map(|(_, n)| n).sum::<usize>(),
-                0
-            );
-            assert_eq!(store.stats().invalid_entries, 1, "field {field}");
-        }
-    }
-
-    #[test]
-    fn legacy_fnpr1_records_still_parse() {
-        // A PR-5-era (stampless FNPR1) record must keep restoring, with
-        // stamp 0, until gc or migration rewrites it.
-        let path = temp_store_path("v1.log");
-        let store = ResultStore::open(&path).unwrap();
-        drop(store);
-        let tag = StoreTable::Bounds.tag();
-        let fp = analysis_fingerprint();
-        let payload = "4.25";
-        let v1 = format!(
-            "{LEGACY_FORMAT} {tag:08x} {key:032x} {fp:016x} {len} {sum:016x} {payload}\n",
-            key = 77u128,
-            len = payload.len(),
-            sum = checksum(tag, 77, fp, payload),
-        );
-        std::fs::OpenOptions::new()
-            .append(true)
-            .open(bounds_file(&path))
-            .unwrap()
-            .write_all(v1.as_bytes())
-            .unwrap();
-        let store = ResultStore::open(&path).unwrap();
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 77), Some(4.25));
-        assert_eq!(store.stats().invalid_entries, 0);
     }
 
     #[test]
@@ -1769,7 +1499,7 @@ mod tests {
     /// Appends a record with an explicit stamp (the normal `put` path
     /// always stamps "now", which age/size-policy tests cannot wait out).
     fn append_stamped(store_dir: &Path, table: StoreTable, key: u128, stamp: u64, payload: &str) {
-        let line = format_record(table.tag(), key, analysis_fingerprint(), stamp, payload);
+        let line = record_line(table, key, analysis_fingerprint(), stamp, payload);
         std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -1798,7 +1528,7 @@ mod tests {
             now.saturating_sub(3 * 86_400),
             "2.0",
         );
-        append_stamped(&path, StoreTable::CfgPoints, 3, 0, "3.0"); // FNPR1-era: oldest.
+        append_stamped(&path, StoreTable::CfgPoints, 3, 0, "3.0"); // Stamp 0: oldest.
         let store = ResultStore::open(&path).unwrap();
         let report = store
             .gc_with(GcPolicy {
@@ -1829,14 +1559,8 @@ mod tests {
             append_stamped(&path, StoreTable::Bounds, key, stamp, "5.5");
         }
         let store = ResultStore::open(&path).unwrap();
-        let one_line = format_record(
-            StoreTable::Bounds.tag(),
-            1,
-            analysis_fingerprint(),
-            10,
-            "5.5",
-        )
-        .len() as u64;
+        let one_line =
+            record_line(StoreTable::Bounds, 1, analysis_fingerprint(), 10, "5.5").len() as u64;
         // Budget for exactly two records: the oldest (stamp 10) must go.
         let report = store
             .gc_with(GcPolicy {
@@ -1865,92 +1589,33 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_file_migrates_transparently() {
-        // Build a sharded store, flatten it into a legacy single file
-        // (the legacy format is the same record lines, all tables in one
-        // log), and open that file: it must migrate to a directory and
-        // serve everything.
-        let dir = crate::testutil::scratch_dir("store_migrate");
-        let donor = dir.join("donor");
-        {
-            let store = ResultStore::open(&donor).unwrap();
-            store.put(StoreTable::Bounds, 1, &1.5f64);
-            store.put(StoreTable::AcceptancePoints, 2, &2.5f64);
-            store.put(StoreTable::CfgPoints, 3, &3.5f64);
+    fn single_file_paths_are_refused_untouched() {
+        let dir = crate::testutil::scratch_dir("store_single_file");
+        let file = dir.join("store.log");
+        let content = b"FNPR2 0 0 0 0 0 0 x\ntorn tail";
+        std::fs::write(&file, content).unwrap();
+        let delta = dir.join("delta");
+        let opens: [(&str, std::io::Result<ResultStore>); 3] = [
+            ("writable", ResultStore::open(&file)),
+            ("read-only", ResultStore::open_read_only(&file)),
+            ("delta", ResultStore::open_delta(&file, &delta)),
+        ];
+        for (mode, opened) in opens {
+            let err = opened.expect_err(mode);
+            assert_eq!(err.kind(), std::io::ErrorKind::NotADirectory, "{mode}");
+            let message = err.to_string();
+            assert!(
+                message.contains(&file.display().to_string()),
+                "{mode}: {message}"
+            );
+            assert!(message.contains("no longer read"), "{mode}: {message}");
+            assert_eq!(
+                std::fs::read(&file).unwrap(),
+                content,
+                "{mode} touched the file"
+            );
         }
-        let legacy = dir.join("store.log");
-        let mut flat = Vec::new();
-        for table in StoreTable::ALL {
-            if let Ok(bytes) = std::fs::read(donor.join(table.file_name())) {
-                flat.extend_from_slice(&bytes);
-            }
-        }
-        std::fs::write(&legacy, &flat).unwrap();
-        assert!(legacy.is_file());
-
-        let store = ResultStore::open(&legacy).unwrap();
-        assert!(legacy.is_dir(), "migration replaced the file with a dir");
-        assert!(
-            !path_with_suffix(&legacy, ".legacy").exists(),
-            "backup cleaned up"
-        );
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 1), Some(1.5));
-        assert_eq!(store.get::<f64>(StoreTable::AcceptancePoints, 2), Some(2.5));
-        assert_eq!(store.get::<f64>(StoreTable::CfgPoints, 3), Some(3.5));
-        // Migration is one-shot: a re-open is a plain sharded open.
-        drop(store);
-        let again = ResultStore::open(&legacy).unwrap();
-        assert_eq!(again.get::<f64>(StoreTable::CfgPoints, 3), Some(3.5));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn interrupted_migration_recovers_from_the_backup() {
-        // Simulate a crash between backup-rename and dir-rename: only
-        // `<path>.legacy` exists. The next open must restore and migrate.
-        let dir = crate::testutil::scratch_dir("store_migrate_crash");
-        let donor = dir.join("donor");
-        {
-            let store = ResultStore::open(&donor).unwrap();
-            store.put(StoreTable::Bounds, 9, &9.5f64);
-        }
-        let legacy = dir.join("store.log");
-        let backup = path_with_suffix(&legacy, ".legacy");
-        std::fs::copy(donor.join(StoreTable::Bounds.file_name()), &backup).unwrap();
-        assert!(!legacy.exists());
-        let store = ResultStore::open(&legacy).unwrap();
-        assert!(legacy.is_dir());
-        assert!(!backup.exists());
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 9), Some(9.5));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn read_only_open_serves_legacy_files_without_migrating() {
-        let dir = crate::testutil::scratch_dir("store_ro");
-        let donor = dir.join("donor");
-        {
-            let store = ResultStore::open(&donor).unwrap();
-            store.put(StoreTable::Bounds, 4, &4.5f64);
-        }
-        let legacy = dir.join("legacy.log");
-        std::fs::copy(donor.join(StoreTable::Bounds.file_name()), &legacy).unwrap();
-        let before = std::fs::read(&legacy).unwrap();
-        let store = ResultStore::open_read_only(&legacy).unwrap();
-        assert_eq!(store.get::<f64>(StoreTable::Bounds, 4), Some(4.5));
-        assert!(!store.is_sharded());
-        // No migration, no healing, no writes: the file is untouched.
-        assert!(legacy.is_file());
-        assert_eq!(std::fs::read(&legacy).unwrap(), before);
-        // Writes are refused (counted), and the inventory is one row.
-        store.put(StoreTable::Bounds, 5, &5.5f64);
-        assert_eq!(store.stats().write_errors, 1);
-        assert_eq!(std::fs::read(&legacy).unwrap(), before);
-        let files = store.shard_files();
-        assert_eq!(files.len(), 1);
-        assert_eq!(files[0].table, None);
-        assert_eq!(files[0].records, 1);
-        assert_eq!(files[0].bytes, before.len() as u64);
+        assert!(!delta.exists(), "a refused delta open creates nothing");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1965,7 +1630,7 @@ mod tests {
         assert_eq!(files.len(), StoreTable::ALL.len());
         let by_table: HashMap<_, _> = files
             .iter()
-            .map(|f| (f.table.unwrap(), (f.records, f.bytes)))
+            .map(|f| (f.table, (f.records, f.bytes)))
             .collect();
         assert_eq!(by_table[&StoreTable::Bounds].0, 2);
         assert_eq!(by_table[&StoreTable::MulticorePoints].0, 1);
@@ -2027,14 +1692,8 @@ mod tests {
         append_stamped(&delta_b, StoreTable::Bounds, 7, 100, "9.0");
         // A corrupt (not losslessly decodable) record for key 8 in delta A
         // must lose to the valid one in delta B.
-        let broken = format_record(
-            StoreTable::Bounds.tag(),
-            8,
-            analysis_fingerprint(),
-            5,
-            "2.0",
-        )
-        .replace("2.0", "6.6");
+        let broken = record_line(StoreTable::Bounds, 8, analysis_fingerprint(), 5, "2.0")
+            .replace("2.0", "6.6");
         std::fs::OpenOptions::new()
             .append(true)
             .open(bounds_file(&delta_a))
@@ -2056,8 +1715,7 @@ mod tests {
     #[test]
     fn merge_heals_around_torn_delta_tails() {
         // A worker killed mid-append leaves an unterminated final line;
-        // the merge must take every complete record and skip the wreck —
-        // same framing tolerance as the FNPR1 corruption fixtures.
+        // the merge must take every complete record and skip the wreck.
         let dir = crate::testutil::scratch_dir("store_merge_torn");
         let canonical_path = dir.join("canonical");
         drop(ResultStore::open(&canonical_path).unwrap());
@@ -2077,7 +1735,7 @@ mod tests {
         // Stale (wrong-fingerprint) delta records are skipped too.
         let stale_delta = dir.join("delta-stale");
         std::fs::create_dir_all(&stale_delta).unwrap();
-        let line = format_record(StoreTable::Bounds.tag(), 3, 0xdead, 50, "3.0");
+        let line = record_line(StoreTable::Bounds, 3, 0xdead, 50, "3.0");
         std::fs::write(bounds_file(&stale_delta), line).unwrap();
         let report = canonical.merge_delta(&stale_delta).unwrap();
         assert_eq!((report.merged, report.stale), (0, 1));

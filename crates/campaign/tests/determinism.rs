@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use fnpr_campaign::store::{ResultStore, StoreTable};
+use fnpr_campaign::store::ResultStore;
 use fnpr_campaign::{
     run_campaign, run_campaign_with_options, run_campaign_with_store, BackendChoice, CampaignSpec,
     ExecOptions, WorkloadKind, WORKER_EXE_ENV,
@@ -367,13 +367,11 @@ proptest! {
         }
     }
 
-    /// Store layouts are interchangeable: a cold run with no store, a warm
-    /// run over the sharded directory it populated, and a warm run over a
-    /// **legacy single-file** store rebuilt from those shards (exercising
-    /// the read-through migration) all produce identical bytes — and both
-    /// warm runs compute nothing.
+    /// A cold run with no store and a warm run over the sharded directory
+    /// a cold store run populated produce identical bytes — and the warm
+    /// run computes nothing.
     #[test]
-    fn warm_sharded_and_migrated_legacy_stores_match_cold(
+    fn warm_sharded_store_matches_cold(
         seed in 0u64..1000,
         sets in 2usize..4,
         u in 0.35f64..0.75,
@@ -399,31 +397,6 @@ proptest! {
             "warm sharded aggregates drifted"
         );
         prop_assert_eq!(warm.store.as_ref().unwrap().points_computed, 0);
-
-        // Flatten the shards into a legacy-style single file; opening it
-        // migrates in place and must serve every record.
-        let legacy = dir.join("legacy.log");
-        let mut flat = Vec::new();
-        for table in StoreTable::ALL {
-            if let Ok(bytes) = std::fs::read(sharded.join(table.file_name())) {
-                flat.extend_from_slice(&bytes);
-            }
-        }
-        std::fs::write(&legacy, &flat).unwrap();
-        let migrated = run_campaign_with_store(
-            &campaign,
-            Some(2),
-            Some(&ResultStore::open(&legacy).unwrap()),
-        )
-        .unwrap();
-        prop_assert_eq!(
-            &(migrated.report.to_csv(), migrated.report.to_json()),
-            &reference,
-            "migrated legacy aggregates drifted"
-        );
-        let stats = migrated.store.unwrap();
-        prop_assert_eq!(stats.points_computed, 0, "migration lost records");
-        prop_assert!(legacy.is_dir(), "legacy file was not migrated to shards");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

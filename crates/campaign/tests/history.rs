@@ -108,7 +108,12 @@ fn records_survive_a_torn_tail_between_runs() {
             .append(true)
             .open(&ledger)
             .unwrap();
-        write!(f, "FNPRL1 0123456789abcdef 99 dead").unwrap();
+        write!(
+            f,
+            "{} 0123456789abcdef 99 dead",
+            fnpr_obs::LEDGER_FORMAT.magic
+        )
+        .unwrap();
     }
     // The next append heals the tail; the reader skips the torn line and
     // keeps both real records.

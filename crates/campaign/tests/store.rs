@@ -164,9 +164,11 @@ fn corrupted_store_content_recomputes_cleanly_and_heals() {
     bytes.truncate(bytes.len() - 11);
     let mut mauled = b"\x00\xff garbage that is not a record\n".to_vec();
     mauled.extend_from_slice(&bytes);
-    let mut text = String::from_utf8_lossy(&mauled).into_owned();
-    text = text.replacen("FNPR2", "FNPR0", 1);
-    std::fs::write(&table, text).unwrap();
+    let text = String::from_utf8_lossy(&mauled).into_owned();
+    let magic = fnpr_campaign::store::STORE_FORMAT.magic;
+    let versioned = text.replacen(magic, "FNPR0", 1);
+    assert_ne!(versioned, text, "no record carried the {magic} magic");
+    std::fs::write(&table, versioned).unwrap();
 
     // The mauled store never crashes the run and never distorts results;
     // whatever was lost recomputes and is appended back.

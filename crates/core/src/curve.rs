@@ -16,7 +16,7 @@ use std::collections::{BinaryHeap, HashMap};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::error::CurveError;
-use crate::hash::StructuralHasher;
+use fnpr_obs::StructuralHasher;
 
 /// One maximal constant piece of a [`DelayCurve`].
 ///

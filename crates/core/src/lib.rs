@@ -65,7 +65,6 @@ mod capped;
 mod cursor;
 mod curve;
 mod error;
-mod hash;
 mod naive;
 
 pub use adversary::{
@@ -83,7 +82,10 @@ pub use baseline::{
 pub use capped::{algorithm1_capped, algorithm1_capped_scaled, CappedBound};
 pub use curve::{DelayCurve, Segment};
 pub use error::{AnalysisError, CurveError};
-pub use hash::StructuralHasher;
+/// The workspace's one structural hasher, defined in `fnpr-obs` (the
+/// dependency-free crate below every layer) and re-exported here so curve
+/// hashes, memo keys and RNG seeds keep their values.
+pub use fnpr_obs::StructuralHasher;
 pub use naive::{naive_bound, naive_bound_with_limit, NaiveBound, DEFAULT_MAX_CANDIDATES};
 
 /// Version of the workspace's *analysis semantics*: the meaning of the
@@ -123,5 +125,29 @@ mod crate_tests {
             assert!(naive <= alg1 + 1e-9, "q={q}: naive {naive} > alg1 {alg1}");
             assert!(alg1 <= eq4 + 1e-9, "q={q}: alg1 {alg1} > eq4 {eq4}");
         }
+    }
+
+    /// Golden outputs of the re-exported hasher, recorded before it moved
+    /// into `fnpr-obs`: curve hashes, memo keys, store keys and RNG seeds
+    /// all derive from these lanes, so neither may change.
+    #[test]
+    fn structural_hasher_golden_values() {
+        let empty = StructuralHasher::new(0);
+        assert_eq!(empty.finish(), 0xefd0_1f60_ba99_2926);
+        assert_eq!(empty.finish128(), 0x2924_17dc_c0d7_78ab_efd0_1f60_ba99_2926);
+        let campaign = StructuralHasher::new(0x4341_4d50).word(2012);
+        assert_eq!(campaign.finish(), 0xf2ac_894f_18dc_553b);
+        assert_eq!(
+            campaign.finish128(),
+            0xb0b0_d65e_a132_b450_f2ac_894f_18dc_553b
+        );
+        let mixed = StructuralHasher::new(7)
+            .f64(0.25)
+            .f64(-0.0)
+            .f64(f64::NAN)
+            .str("fnpr")
+            .word128((5u128 << 64) | 9);
+        assert_eq!(mixed.finish(), 0xfa8e_6a9f_1578_644d);
+        assert_eq!(mixed.finish128(), 0x0cc7_d3a7_0340_7924_fa8e_6a9f_1578_644d);
     }
 }

@@ -27,7 +27,7 @@ pub const UNSAFE_ALLOWLIST: &[&str] = &[];
 
 /// Magic wire/format tags that must be defined as a `const` in exactly
 /// one crate and only referenced elsewhere.
-pub const FORMAT_TAGS: &[&str] = &["FNPR1", "FNPR2", "FNPRW1", "FNPRL1"];
+pub const FORMAT_TAGS: &[&str] = &["FNPR3", "FNPRW2", "FNPRL2"];
 
 /// Schema-version constants that must have exactly one defining crate.
 pub const VERSION_CONSTS: &[&str] = &[
@@ -399,8 +399,7 @@ pub fn collect_format_sites(file: &SourceFile, sites: &mut FormatSites) {
 }
 
 /// A literal "mentions" a tag only when the tag appears on a token
-/// boundary (so `FNPRW1` does not count as a mention of `FNPR1`… which it
-/// would not anyway, but `FNPR1x` must not either).
+/// boundary (so `FNPR3x` does not count as a mention of `FNPR3`).
 fn literal_mentions_tag(value: &str, tag: &str) -> bool {
     let mut rest = value;
     while let Some(pos) = rest.find(tag) {
@@ -591,11 +590,11 @@ mod tests {
     fn format_tag_const_definition_vs_inline() {
         let def = analyze_source(
             "crates/a/src/lib.rs",
-            "pub const FORMAT: &str = \"FNPR9\";\npub const STORE: &str = \"FNPR2\";\n",
+            "pub const FORMAT: &str = \"FNPR9\";\npub const STORE: &str = \"FNPR3\";\n",
         );
         let inline = analyze_source(
             "crates/b/src/lib.rs",
-            "fn f() { let s = \"FNPR2 1234 payload\"; }\n",
+            "fn f() { let s = \"FNPR3 1234 payload\"; }\n",
         );
         let mut sites = FormatSites::default();
         collect_format_sites(&def, &mut sites);
@@ -604,7 +603,7 @@ mod tests {
         format_constant_findings(&sites, &mut findings);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].file, "crates/b/src/lib.rs");
-        assert!(findings[0].message.contains("FNPR2"));
+        assert!(findings[0].message.contains("FNPR3"));
     }
 
     #[test]

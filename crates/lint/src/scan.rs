@@ -2,7 +2,9 @@
 //!
 //! Classification drives which passes run where:
 //!
-//! * **vendor / target / fixtures** directories are never scanned;
+//! * **vendor / target / fixtures / benchmark** directories are never
+//!   scanned (`benchmark/` is a separate cargo workspace, the timing
+//!   harness);
 //! * **test files** (any path with a `tests/` or `benches/` component)
 //!   are lexed but no lint pass runs on them;
 //! * **sink files** (CLI binaries under `bin/`, `src/main.rs`, and
@@ -31,7 +33,14 @@ use crate::lexer::{lex, Lexed};
 use crate::report::{Finding, ALLOW_SYNTAX, LINTS};
 
 /// Directory names that are never descended into.
-const SKIP_DIRS: &[&str] = &["vendor", "target", "fixtures", ".git", ".github"];
+const SKIP_DIRS: &[&str] = &[
+    "vendor",
+    "target",
+    "fixtures",
+    "benchmark",
+    ".git",
+    ".github",
+];
 
 /// One classified, lexed workspace source file.
 pub struct SourceFile {

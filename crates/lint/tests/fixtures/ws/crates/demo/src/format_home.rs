@@ -1,3 +1,3 @@
-//! The legitimate home of the fixture's `FNPR2` tag.
+//! The legitimate home of the fixture's `FNPR3` tag.
 
-pub const STORE_FORMAT: &str = "FNPR2";
+pub const STORE_FORMAT: &str = "FNPR3";

@@ -1,8 +1,8 @@
-//! Seeded violations: a second crate defining `FNPR2` (expected at
+//! Seeded violations: a second crate defining `FNPR3` (expected at
 //! line 4) and an inline tag literal (expected at line 7).
 
-pub const ALSO_STORE_FORMAT: &str = "FNPR2";
+pub const ALSO_STORE_FORMAT: &str = "FNPR3";
 
 pub fn frame() -> String {
-    format!("{} payload", "FNPR2 0001")
+    format!("{} payload", "FNPR3 0001")
 }

@@ -2,12 +2,13 @@
 //!
 //! A streaming FNV-1a-style mixer with a murmur-style final avalanche:
 //! stable across platforms and runs — reproducible campaign/scenario ids
-//! need that — and not DoS-resistant (irrelevant here). [`DelayCurve`]
-//! caches a hash of its segments at construction
-//! ([`DelayCurve::structural_hash`]), and `fnpr-campaign` re-exports this
-//! type as its `ScenarioHasher` for every other memo key, so there is a
-//! single definition of the mixing scheme: a change here shows up in both
-//! users at once instead of silently splitting their key spaces.
+//! need that — and not DoS-resistant (irrelevant here). It lives in this
+//! dependency-free crate so every layer shares one definition of the
+//! mixing scheme: `fnpr-core` re-exports it for the structural hash each
+//! `DelayCurve` caches at construction, `fnpr-campaign` re-exports it as
+//! its `ScenarioHasher` for every other memo key, and [`crate::frame`]
+//! checksums every log line with it. A change here shows up in all users
+//! at once instead of silently splitting their key spaces.
 //!
 //! # 64-bit vs 128-bit finishes
 //!
@@ -21,9 +22,6 @@
 //! the on-disk result store key by the 128-bit value (a collision needs
 //! both lanes to collide at once), while sharding and seed derivation keep
 //! using the low word.
-//!
-//! [`DelayCurve`]: crate::DelayCurve
-//! [`DelayCurve::structural_hash`]: crate::DelayCurve::structural_hash
 
 /// A streaming structural hasher for memo/scenario keys.
 #[derive(Debug, Clone, Copy)]
@@ -37,6 +35,7 @@ pub struct StructuralHasher {
 impl StructuralHasher {
     /// A fresh hasher with a domain-separation tag (use a distinct tag per
     /// key kind so e.g. task-set keys can never collide with curve keys).
+    #[inline]
     #[must_use]
     pub fn new(tag: u64) -> Self {
         Self {
@@ -46,6 +45,7 @@ impl StructuralHasher {
     }
 
     /// Mixes one word.
+    #[inline]
     #[must_use]
     pub fn word(mut self, w: u64) -> Self {
         self.a = (self.a ^ w).wrapping_mul(0x0000_0100_0000_01b3);
@@ -60,6 +60,7 @@ impl StructuralHasher {
 
     /// Mixes a 128-bit word (e.g. another hasher's [`Self::finish128`]), low
     /// half first.
+    #[inline]
     #[must_use]
     pub fn word128(self, w: u128) -> Self {
         self.word(w as u64).word((w >> 64) as u64)
@@ -71,6 +72,7 @@ impl StructuralHasher {
     /// canonical word. Without the NaN rule, two runs producing NaN through
     /// different operations could disagree on a scenario hash — silently
     /// defeating `(curve, Q)` memoization and shard determinism.
+    #[inline]
     #[must_use]
     pub fn f64(self, x: f64) -> Self {
         let bits = if x.is_nan() {
@@ -84,6 +86,7 @@ impl StructuralHasher {
     }
 
     /// Mixes a string.
+    #[inline]
     #[must_use]
     pub fn str(mut self, s: &str) -> Self {
         for b in s.bytes() {
@@ -94,6 +97,7 @@ impl StructuralHasher {
 
     /// Final avalanche of the original lane. Value-compatible with every
     /// release of this hasher: the widening lane does not feed it.
+    #[inline]
     #[must_use]
     pub fn finish(self) -> u64 {
         let mut h = self.a;
@@ -109,6 +113,7 @@ impl StructuralHasher {
     /// therefore recovers the historical 64-bit value — in-process shard
     /// selection and RNG stream seeding stay value-compatible while memo
     /// and store keys get genuine 128-bit collision resistance.
+    #[inline]
     #[must_use]
     pub fn finish128(self) -> u128 {
         let mut h = self.b;

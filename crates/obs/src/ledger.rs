@@ -10,21 +10,14 @@
 //!
 //! # Layout
 //!
-//! The framing discipline mirrors the campaign result store
-//! (`crates/campaign/src/store.rs`): an append-only text log where each
-//! record is a single self-validating line —
+//! An append-only log of [`crate::frame`] lines in the [`LEDGER_FORMAT`]
+//! (`FNPRL2`) format, one per run, with a single head word:
 //!
-//! ```text
-//! FNPRL1 <fingerprint:16hex> <len> <sum:16hex> <payload>
-//! ```
+//! * `fingerprint` — [`ledger_fingerprint`], a hash of
+//!   [`LEDGER_SCHEMA_VERSION`]; records written by a different record
+//!   schema are *stale*, counted but not served.
 //!
-//! * `FNPRL1` — the ledger **format version**; unknown tokens are ignored;
-//! * `fingerprint` — a hash of [`LEDGER_SCHEMA_VERSION`]; records written
-//!   by a different record schema are *stale*, counted but not served;
-//! * `len`/`sum` — payload byte length and checksum (over fingerprint and
-//!   payload), so truncated tails and corrupted bytes are detected
-//!   line-locally;
-//! * `payload` — one [`RunRecord`] as compact single-line JSON.
+//! The payload is one [`RunRecord`] as compact single-line JSON.
 //!
 //! # Correctness contract
 //!
@@ -36,16 +29,17 @@
 //! callers surface append errors as warnings.
 
 use std::fmt::Write as _;
-use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::path::Path;
 
+use crate::frame::{self, Format};
 use crate::report::json_f64;
 use crate::span::json_string;
+use crate::StructuralHasher;
 
-/// Magic token carrying the on-disk framing version. Bump on any
-/// line-layout change; old lines then read as invalid.
-pub const LEDGER_FORMAT: &str = "FNPRL1";
+/// The ledger's line format: head word `[fingerprint]`. Bump the magic on
+/// any line-layout change; old lines then read as invalid.
+pub const LEDGER_FORMAT: Format = Format::new("FNPRL2", TAG_CHECKSUM);
 
 /// Version of the [`RunRecord`] payload schema. Folded into the line
 /// fingerprint; bump when fields change shape or meaning, and old rows
@@ -231,16 +225,8 @@ pub fn append_record(path: &Path, record: &RunRecord) -> std::io::Result<()> {
             std::fs::create_dir_all(parent)?;
         }
     }
-    let unterminated = match std::fs::read(path) {
-        Ok(bytes) => bytes.last().is_some_and(|&b| b != b'\n'),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
-        Err(e) => return Err(e),
-    };
-    let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-    if unterminated {
-        // A crashed writer left a torn final line (it will read as
-        // invalid); terminate it so this append starts on a fresh line.
-        file.write_all(b"\n")?;
+    let (mut file, healed) = frame::open_append(path)?;
+    if healed {
         crate::counter!("obs.ledger.healed").incr();
     }
     file.write_all(format_line(record).as_bytes())
@@ -254,21 +240,12 @@ pub fn append_record(path: &Path, record: &RunRecord) -> std::io::Result<()> {
 ///
 /// Filesystem read failures.
 pub fn read_ledger(path: &Path) -> std::io::Result<LedgerView> {
-    let bytes = std::fs::read(path)?;
-    // Lossy decoding: a line with invalid UTF-8 cannot checksum correctly
-    // and parses as invalid, which is exactly right.
-    let text = String::from_utf8_lossy(&bytes);
     let mut view = LedgerView::default();
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        match parse_line(line) {
-            ParsedLine::Valid(record) => view.records.push(*record),
-            ParsedLine::Stale => view.stale += 1,
-            ParsedLine::Invalid => view.invalid += 1,
-        }
-    }
+    frame::read_file_lines(path, |line| match parse_line(line) {
+        ParsedLine::Valid(record) => view.records.push(*record),
+        ParsedLine::Stale => view.stale += 1,
+        ParsedLine::Invalid => view.invalid += 1,
+    })?;
     Ok(view)
 }
 
@@ -276,19 +253,14 @@ pub fn read_ledger(path: &Path) -> std::io::Result<LedgerView> {
 /// record schema version. Lines carrying any other fingerprint are stale.
 #[must_use]
 pub fn ledger_fingerprint() -> u64 {
-    hash_words(TAG_FINGERPRINT, &[LEDGER_SCHEMA_VERSION], "")
+    StructuralHasher::new(TAG_FINGERPRINT)
+        .word(LEDGER_SCHEMA_VERSION)
+        .finish()
 }
 
 /// Formats one ledger line (trailing newline included).
 fn format_line(record: &RunRecord) -> String {
-    let payload = record.to_json();
-    debug_assert!(!payload.contains('\n'), "compact JSON is single-line");
-    let fingerprint = ledger_fingerprint();
-    format!(
-        "{LEDGER_FORMAT} {fingerprint:016x} {len} {sum:016x} {payload}\n",
-        len = payload.len(),
-        sum = checksum(fingerprint, &payload),
-    )
+    LEDGER_FORMAT.encode(&[ledger_fingerprint()], &record.to_json())
 }
 
 enum ParsedLine {
@@ -297,35 +269,14 @@ enum ParsedLine {
     Invalid,
 }
 
-/// Parses one ledger line. Anything malformed — unknown format token, bad
-/// hex, wrong payload length (truncation), wrong checksum (corruption),
-/// undecodable payload — is invalid; a well-formed line from another
-/// schema version is stale.
+/// Parses one ledger line: invalid unless it decodes as a frame with an
+/// undamaged [`RunRecord`] payload; stale when well-formed but written
+/// under another schema version.
 fn parse_line(line: &str) -> ParsedLine {
-    let mut parts = line.splitn(5, ' ');
-    let (Some(magic), Some(fp), Some(len), Some(sum), Some(payload)) = (
-        parts.next(),
-        parts.next(),
-        parts.next(),
-        parts.next(),
-        parts.next(),
-    ) else {
+    let Some(([fingerprint], payload)) = LEDGER_FORMAT.decode(line) else {
         return ParsedLine::Invalid;
     };
-    if magic != LEDGER_FORMAT {
-        return ParsedLine::Invalid;
-    }
-    let (Ok(fp), Ok(len), Ok(sum)) = (
-        u64::from_str_radix(fp, 16),
-        len.parse::<usize>(),
-        u64::from_str_radix(sum, 16),
-    ) else {
-        return ParsedLine::Invalid;
-    };
-    if payload.len() != len || checksum(fp, payload) != sum {
-        return ParsedLine::Invalid;
-    }
-    if fp != ledger_fingerprint() {
+    if fingerprint != ledger_fingerprint() {
         return ParsedLine::Stale;
     }
     match RunRecord::from_json(payload) {
@@ -334,36 +285,9 @@ fn parse_line(line: &str) -> ParsedLine {
     }
 }
 
-/// Line checksum over every content-bearing field (fingerprint and
-/// payload), so a bit flip anywhere fails validation.
-fn checksum(fingerprint: u64, payload: &str) -> u64 {
-    hash_words(TAG_CHECKSUM, &[fingerprint], payload)
-}
-
 // Domain tags for ledger-internal hashing.
 const TAG_FINGERPRINT: u64 = 0x4c44_4746; // "LDGF"
 const TAG_CHECKSUM: u64 = 0x4c44_4753; // "LDGS"
-
-/// A small splitmix64-style accumulator (the same construction as the
-/// campaign's `ScenarioHasher`, re-implemented locally because this crate
-/// is dependency-free and sits below `fnpr-campaign`).
-fn hash_words(tag: u64, words: &[u64], text: &str) -> u64 {
-    fn mix(mut z: u64) -> u64 {
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-    let mut state = mix(tag ^ 0x9e37_79b9_7f4a_7c15);
-    for &w in words {
-        state = mix(state ^ w);
-    }
-    for chunk in text.as_bytes().chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        state = mix(state ^ u64::from_le_bytes(word) ^ chunk.len() as u64);
-    }
-    mix(state ^ text.len() as u64)
-}
 
 /// A scalar value of the flat JSON objects the ledger round-trips.
 enum JsonScalar {
@@ -539,36 +463,12 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_and_truncated_lines_are_skipped_not_fatal() {
-        let path = scratch("corrupt.jsonl");
-        append_record(&path, &sample(1.0)).unwrap();
-        // Flip a payload byte of a valid line, then add garbage and a
-        // truncated copy of a real line.
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        let good = text.clone();
-        text = text.replace("\"threads\":2", "\"threads\":3");
-        text.push_str("complete garbage, not a record\n");
-        text.push_str(&good[..good.len() / 2]);
-        text.push('\n');
-        std::fs::write(&path, &text).unwrap();
-        let view = read_ledger(&path).unwrap();
-        assert!(view.records.is_empty(), "corrupt line served: {view:?}");
-        assert_eq!(view.invalid, 3);
-    }
-
-    #[test]
     fn stale_schema_lines_are_counted_separately() {
         let path = scratch("stale.jsonl");
         append_record(&path, &sample(1.0)).unwrap();
         // Re-frame the same payload under a different fingerprint with a
         // *valid* checksum: well-formed, wrong schema.
-        let payload = sample(1.0).to_json();
-        let fp = ledger_fingerprint() ^ 1;
-        let line = format!(
-            "{LEDGER_FORMAT} {fp:016x} {} {:016x} {payload}\n",
-            payload.len(),
-            checksum(fp, &payload),
-        );
+        let line = LEDGER_FORMAT.encode(&[ledger_fingerprint() ^ 1], &sample(1.0).to_json());
         std::fs::write(
             &path,
             format!("{}{line}", std::fs::read_to_string(&path).unwrap()),
@@ -578,21 +478,6 @@ mod tests {
         assert_eq!(view.records.len(), 1);
         assert_eq!(view.stale, 1);
         assert_eq!(view.invalid, 0);
-    }
-
-    #[test]
-    fn torn_tail_is_healed_on_next_append() {
-        let path = scratch("torn.jsonl");
-        append_record(&path, &sample(1.0)).unwrap();
-        // Simulate a crash mid-write: drop the final newline and half the
-        // last line.
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &text[..text.len() - 10]).unwrap();
-        append_record(&path, &sample(2.0)).unwrap();
-        let view = read_ledger(&path).unwrap();
-        assert_eq!(view.records.len(), 1, "torn line must not be served");
-        assert_eq!(view.records[0].points_per_sec, 2.0);
-        assert_eq!(view.invalid, 1);
     }
 
     #[test]

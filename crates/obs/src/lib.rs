@@ -24,6 +24,9 @@
 //! * a [`MetricsReport`] snapshot serialized to versioned JSON
 //!   (the CLI's `--metrics PATH`), histograms carrying
 //!   bucket-interpolated p50/p90/p99;
+//! * the [`StructuralHasher`] every layer keys and checksums with, and
+//!   the one checksummed line codec ([`frame`]) behind the result store,
+//!   the worker wire frames and the run ledger;
 //! * an append-only, checksummed run [`ledger`] (`LEDGER.jsonl`; the
 //!   CLI's `--ledger PATH`) — one [`RunRecord`] per campaign run, the
 //!   longitudinal data `fnpr-campaign history` trends and gates on;
@@ -39,11 +42,14 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+pub mod frame;
+mod hash;
 pub mod ledger;
 pub mod progress;
 pub mod report;
 pub mod span;
 
+pub use hash::StructuralHasher;
 pub use ledger::{
     append_record, read_ledger, LedgerView, RunRecord, LEDGER_FORMAT, LEDGER_SCHEMA_VERSION,
 };
