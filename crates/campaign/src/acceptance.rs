@@ -10,7 +10,8 @@
 //! once per process.
 
 use fnpr_sched::{
-    edf_schedulable_with_delay, fp_schedulable_with_delay, inflate_wcets, DelayMethod, TaskSet,
+    edf_schedulable_inflated, fp_schedulable_inflated, inflate_wcets, inflate_wcets_edf,
+    DelayMethod, Inflation, SchedError, TaskSet,
 };
 use fnpr_synth::{random_taskset, with_npr_and_curves, Policy, TaskSetParams};
 use rand::rngs::StdRng;
@@ -180,16 +181,29 @@ fn run_point(
             continue;
         };
         generated += 1;
-        for (k, &method) in params.methods.iter().enumerate() {
-            let ok = match policy {
-                Policy::FixedPriority => fp_schedulable_with_delay(&tasks, method).unwrap_or(false),
-                Policy::Edf => edf_schedulable_with_delay(&tasks, method).unwrap_or(false),
-            };
+        // One inflation per method feeds both its schedulability test and
+        // the pessimism gap.
+        let inflations: Vec<Result<Inflation, SchedError>> = params
+            .methods
+            .iter()
+            .map(|&method| match policy {
+                Policy::FixedPriority => inflate_wcets(&tasks, method),
+                Policy::Edf => inflate_wcets_edf(&tasks, method),
+            })
+            .collect();
+        for (k, inflation) in inflations.iter().enumerate() {
+            let ok = inflation.as_ref().is_ok_and(|inflation| {
+                match policy {
+                    Policy::FixedPriority => fp_schedulable_inflated(&tasks, inflation),
+                    Policy::Edf => edf_schedulable_inflated(&tasks, inflation),
+                }
+                .unwrap_or(false)
+            });
             if ok {
                 accepted[k] += 1;
             }
         }
-        if let Some(gap) = pessimism_gap(&tasks) {
+        if let Some(gap) = pessimism_gap(&tasks, &params.methods, &inflations) {
             gap_sum += gap;
             gap_count += 1;
             gap_max = gap_max.max(gap);
@@ -302,13 +316,22 @@ fn taskset_key(
 /// for one equipped task set — the per-set pessimism gap the paper's
 /// Figure 5 narrative is about. `None` when either diverges or Algorithm 1
 /// finds no measurable overhead.
-fn pessimism_gap(tasks: &TaskSet) -> Option<f64> {
-    let alg1 = inflate_wcets(tasks, DelayMethod::Algorithm1)
-        .ok()?
-        .total_overhead(tasks)?;
-    let eq4 = inflate_wcets(tasks, DelayMethod::Eq4)
-        .ok()?
-        .total_overhead(tasks)?;
+///
+/// `inflations[k]` is the set's inflation under `methods[k]`; a method the
+/// grid does not test is inflated here. Only the capped method's inflation
+/// depends on the policy, so either policy's Eq. 4 and Algorithm 1
+/// inflations serve.
+fn pessimism_gap(
+    tasks: &TaskSet,
+    methods: &[DelayMethod],
+    inflations: &[Result<Inflation, SchedError>],
+) -> Option<f64> {
+    let overhead = |method: DelayMethod| match methods.iter().position(|&m| m == method) {
+        Some(k) => inflations[k].as_ref().ok()?.total_overhead(tasks),
+        None => inflate_wcets(tasks, method).ok()?.total_overhead(tasks),
+    };
+    let alg1 = overhead(DelayMethod::Algorithm1)?;
+    let eq4 = overhead(DelayMethod::Eq4)?;
     (alg1 > 1e-12).then(|| eq4 / alg1)
 }
 
@@ -382,6 +405,31 @@ utilizations = { values = [0.5] }
                 "Algorithm 1 beat its capped variant"
             );
             assert!(p.pessimism_gap_max >= p.pessimism_gap_mean);
+        }
+    }
+
+    #[test]
+    fn pessimism_gap_does_not_depend_on_the_tested_methods() {
+        // The full method list reuses the tested Eq. 4 and Algorithm 1
+        // inflations; a list without them inflates for the gap alone. Both
+        // must report the same gap for the same sets.
+        let all = small_params();
+        let capped_only = AcceptanceParams {
+            methods: vec![DelayMethod::Algorithm1Capped],
+            ..all.clone()
+        };
+        let engine = AcceptanceEngine::new();
+        let reused = run(&all, 7, &local(1), &engine, None).unwrap();
+        let fresh = run(&capped_only, 7, &local(1), &engine, None).unwrap();
+        for (r, f) in reused.iter().zip(&fresh) {
+            assert!(r.pessimism_gap_count > 0);
+            assert_eq!(r.pessimism_gap_count, f.pessimism_gap_count);
+            assert_eq!(
+                r.pessimism_gap_mean.to_bits(),
+                f.pessimism_gap_mean.to_bits()
+            );
+            assert_eq!(r.pessimism_gap_max.to_bits(), f.pessimism_gap_max.to_bits());
+            assert_eq!(r.accepted[3], f.accepted[0]);
         }
     }
 }

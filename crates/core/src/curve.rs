@@ -230,11 +230,22 @@ impl DelayCurve {
         }
         let cells = (end / step).ceil() as usize;
         let mut points = Vec::with_capacity(cells.max(1));
+        // The previous cell's right end and its sample: every cell but the
+        // last ends where the next one starts, so `f` runs twice per cell.
+        // The sample is reused only where the two points are equal, so the
+        // curve is the three-sample one bit for bit.
+        let mut previous_hi: Option<(f64, f64)> = None;
         for k in 0..cells.max(1) {
             let lo = (k as f64) * step;
             let hi = ((k + 1) as f64 * step).min(end);
             let mid = 0.5 * (lo + hi);
-            let sample = f(lo).max(f(mid)).max(f(hi));
+            let f_lo = match previous_hi {
+                Some((at, value)) if at == lo => value,
+                _ => f(lo),
+            };
+            let f_hi = f(hi);
+            previous_hi = Some((hi, f_hi));
+            let sample = f_lo.max(f(mid)).max(f_hi);
             if !sample.is_finite() {
                 return Err(CurveError::BadValue {
                     index: k,
@@ -1075,5 +1086,70 @@ mod tests {
         assert_eq!(f.value_at(12.0), 5.0);
         assert_eq!(f.value_at(19.9), 5.0);
         assert_eq!(f.value_at(20.0), 1.0);
+    }
+
+    /// [`DelayCurve::from_fn_upper`] before it reused each cell's right-end
+    /// sample as the next cell's left end: the bit-identity oracle.
+    fn from_fn_upper_oracle<F: Fn(f64) -> f64>(
+        f: F,
+        end: f64,
+        step: f64,
+    ) -> Result<DelayCurve, CurveError> {
+        if !(end.is_finite() && end > 0.0) {
+            return Err(CurveError::BadDomain { end });
+        }
+        if !(step.is_finite() && step > 0.0) {
+            return Err(CurveError::BadStep { step });
+        }
+        let cells = (end / step).ceil() as usize;
+        let mut points = Vec::with_capacity(cells.max(1));
+        for k in 0..cells.max(1) {
+            let lo = (k as f64) * step;
+            let hi = ((k + 1) as f64 * step).min(end);
+            let mid = 0.5 * (lo + hi);
+            let sample = f(lo).max(f(mid)).max(f(hi));
+            if !sample.is_finite() {
+                return Err(CurveError::BadValue {
+                    index: k,
+                    value: sample,
+                });
+            }
+            points.push((lo, sample.max(0.0)));
+        }
+        DelayCurve::from_breakpoints(points, end)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Sampled bells (with negative offsets that clamp to zero), on
+        /// steps that rarely divide the domain, equal the three-sample
+        /// oracle bit for bit — and a poisoned sample (`+∞`, `−∞` or NaN
+        /// from `poison_at` on) fails at the same cell with the same value.
+        #[test]
+        fn from_fn_upper_matches_the_three_sample_oracle(
+            (end, step) in (1.0f64..500.0, 0.05f64..40.0),
+            (mu, sigma, amplitude, offset) in (0.0f64..500.0, 1.0f64..200.0, 0.0f64..10.0, -2.0f64..1.0),
+            (poison, poison_at) in (0u8..4, 0.0f64..600.0),
+        ) {
+            let f = |t: f64| {
+                if t >= poison_at {
+                    match poison {
+                        0 => return f64::INFINITY,
+                        1 => return f64::NEG_INFINITY,
+                        2 => return f64::NAN,
+                        _ => {}
+                    }
+                }
+                amplitude * (-(t - mu) * (t - mu) / (2.0 * sigma * sigma)).exp() + offset
+            };
+            match (DelayCurve::from_fn_upper(f, end, step), from_fn_upper_oracle(f, end, step)) {
+                (Ok(fast), Ok(slow)) => {
+                    assert_eq!(fast, slow);
+                    assert_eq!(fast.structural_hash128(), slow.structural_hash128());
+                }
+                (fast, slow) => assert_eq!(format!("{fast:?}"), format!("{slow:?}")),
+            }
+        }
     }
 }

@@ -27,10 +27,7 @@
 //! carries over to the multiprocessor setting — property-tested in the
 //! crate's test suite.
 
-use fnpr_sched::{
-    inflated_taskset_scaled, inflated_taskset_with_caps_scaled, preemption_caps_edf, DelayMethod,
-    SchedError, Task, TaskSet,
-};
+use fnpr_sched::{inflate_wcets_edf_scaled, DelayMethod, SchedError, Task, TaskSet};
 use fnpr_synth::Policy;
 
 /// Time-comparison tolerance mirroring the uniprocessor tests.
@@ -159,12 +156,12 @@ pub fn global_fp_bcl(tasks: &TaskSet, m: usize) -> bool {
 /// delay bound diverges.
 ///
 /// [`DelayMethod::Algorithm1Capped`] uses the every-other-task preemption
-/// cap ([`preemption_caps_edf`]), which over-counts (hence stays sound)
+/// cap ([`fnpr_sched::preemption_caps_edf`]), which over-counts (hence stays sound)
 /// under global FP too.
 ///
 /// # Errors
 ///
-/// As [`inflated_taskset`]; tasks missing `Qi`/curves error for the
+/// As [`fnpr_sched::inflated_taskset`]; tasks missing `Qi`/curves error for the
 /// delay-aware methods.
 ///
 /// # Panics
@@ -200,13 +197,7 @@ pub fn global_schedulable_with_delay_scaled(
     factor: f64,
 ) -> Result<bool, SchedError> {
     assert!(m >= 1, "need at least one core");
-    let inflated = match method {
-        DelayMethod::Algorithm1Capped => {
-            inflated_taskset_with_caps_scaled(tasks, method, &preemption_caps_edf(tasks), factor)?
-        }
-        _ => inflated_taskset_scaled(tasks, method, factor)?,
-    };
-    let Some(inflated) = inflated else {
+    let Some(inflated) = inflate_wcets_edf_scaled(tasks, method, factor)?.apply(tasks)? else {
         return Ok(false);
     };
     Ok(match policy {

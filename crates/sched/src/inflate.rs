@@ -104,6 +104,19 @@ impl Inflation {
         }
         Some(sum)
     }
+
+    /// The Eq. 5-inflated copy of `tasks` (`C′i` in place of `Ci`), or
+    /// `None` when any task diverged.
+    ///
+    /// # Errors
+    ///
+    /// As [`TaskSet::with_wcets`].
+    pub fn apply(&self, tasks: &TaskSet) -> Result<Option<TaskSet>, SchedError> {
+        match self.finite_wcets() {
+            Some(wcets) => tasks.with_wcets(&wcets).map(Some),
+            None => Ok(None),
+        }
+    }
 }
 
 /// Computes the inflated WCETs of every task under the chosen method.
@@ -262,11 +275,7 @@ pub fn inflated_taskset_scaled(
     method: DelayMethod,
     factor: f64,
 ) -> Result<Option<TaskSet>, SchedError> {
-    let inflation = inflate_wcets_scaled(tasks, method, factor)?;
-    match inflation.finite_wcets() {
-        Some(wcets) => tasks.with_wcets(&wcets).map(Some),
-        None => Ok(None),
-    }
+    inflate_wcets_scaled(tasks, method, factor)?.apply(tasks)
 }
 
 /// [`inflated_taskset`] with caller-supplied preemption caps (only
@@ -295,11 +304,7 @@ pub fn inflated_taskset_with_caps_scaled(
     caps: &[usize],
     factor: f64,
 ) -> Result<Option<TaskSet>, SchedError> {
-    let inflation = inflate_wcets_with_caps_scaled(tasks, method, caps, factor)?;
-    match inflation.finite_wcets() {
-        Some(wcets) => tasks.with_wcets(&wcets).map(Some),
-        None => Ok(None),
-    }
+    inflate_wcets_with_caps_scaled(tasks, method, caps, factor)?.apply(tasks)
 }
 
 /// Fixed-priority floating-NPR schedulability with delay-inflated WCETs
@@ -327,7 +332,18 @@ pub fn fp_schedulable_with_delay_scaled(
     method: DelayMethod,
     factor: f64,
 ) -> Result<bool, SchedError> {
-    let Some(inflated) = inflated_taskset_scaled(tasks, method, factor)? else {
+    fp_schedulable_inflated(tasks, &inflate_wcets_scaled(tasks, method, factor)?)
+}
+
+/// The fixed-priority floating-NPR test on an inflation already computed
+/// for `tasks` — one [`Inflation`] can feed both this test and
+/// [`Inflation::total_overhead`]. Returns `false` when any task diverged.
+///
+/// # Errors
+///
+/// As [`Inflation::apply`] and the underlying RTA.
+pub fn fp_schedulable_inflated(tasks: &TaskSet, inflation: &Inflation) -> Result<bool, SchedError> {
+    let Some(inflated) = inflation.apply(tasks)? else {
         return Ok(false);
     };
     Ok(rta_floating_npr(&inflated)?.schedulable())
@@ -393,15 +409,52 @@ pub fn edf_schedulable_with_delay_scaled(
     method: DelayMethod,
     factor: f64,
 ) -> Result<bool, SchedError> {
+    edf_schedulable_inflated(tasks, &inflate_wcets_edf_scaled(tasks, method, factor)?)
+}
+
+/// [`inflate_wcets`] for an EDF system: the same inflation, except that
+/// [`DelayMethod::Algorithm1Capped`] uses [`preemption_caps_edf`].
+///
+/// # Errors
+///
+/// As [`inflate_wcets`].
+pub fn inflate_wcets_edf(tasks: &TaskSet, method: DelayMethod) -> Result<Inflation, SchedError> {
+    inflate_wcets_edf_scaled(tasks, method, 1.0)
+}
+
+/// [`inflate_wcets_edf`] under the lazy scale view (see
+/// [`inflate_wcets_scaled`]).
+///
+/// # Errors
+///
+/// As [`inflate_wcets_scaled`].
+pub fn inflate_wcets_edf_scaled(
+    tasks: &TaskSet,
+    method: DelayMethod,
+    factor: f64,
+) -> Result<Inflation, SchedError> {
     // Under EDF the preemption cap counts every other task's releases, not
     // just the higher-indexed ones.
-    let inflated = match method {
+    match method {
         DelayMethod::Algorithm1Capped => {
-            inflated_taskset_with_caps_scaled(tasks, method, &preemption_caps_edf(tasks), factor)?
+            inflate_wcets_with_caps_scaled(tasks, method, &preemption_caps_edf(tasks), factor)
         }
-        _ => inflated_taskset_scaled(tasks, method, factor)?,
-    };
-    let Some(inflated) = inflated else {
+        _ => inflate_wcets_scaled(tasks, method, factor),
+    }
+}
+
+/// The EDF counterpart of [`fp_schedulable_inflated`]: the NPR-aware
+/// demand test on an inflation already computed for `tasks` (by
+/// [`inflate_wcets_edf`]). Returns `false` when any task diverged.
+///
+/// # Errors
+///
+/// As [`Inflation::apply`] and the underlying demand test.
+pub fn edf_schedulable_inflated(
+    tasks: &TaskSet,
+    inflation: &Inflation,
+) -> Result<bool, SchedError> {
+    let Some(inflated) = inflation.apply(tasks)? else {
         return Ok(false);
     };
     edf_schedulable_with_npr(&inflated)

@@ -69,11 +69,12 @@ pub use edf::{
 };
 pub use error::SchedError;
 pub use inflate::{
-    edf_schedulable_with_delay, edf_schedulable_with_delay_scaled, fp_schedulable_with_delay,
-    fp_schedulable_with_delay_scaled, inflate_wcets, inflate_wcets_scaled, inflate_wcets_with_caps,
-    inflate_wcets_with_caps_scaled, inflated_taskset, inflated_taskset_scaled,
-    inflated_taskset_with_caps, inflated_taskset_with_caps_scaled, preemption_caps,
-    preemption_caps_edf, DelayMethod, Inflation,
+    edf_schedulable_inflated, edf_schedulable_with_delay, edf_schedulable_with_delay_scaled,
+    fp_schedulable_inflated, fp_schedulable_with_delay, fp_schedulable_with_delay_scaled,
+    inflate_wcets, inflate_wcets_edf, inflate_wcets_edf_scaled, inflate_wcets_scaled,
+    inflate_wcets_with_caps, inflate_wcets_with_caps_scaled, inflated_taskset,
+    inflated_taskset_scaled, inflated_taskset_with_caps, inflated_taskset_with_caps_scaled,
+    preemption_caps, preemption_caps_edf, DelayMethod, Inflation,
 };
 pub use npr::{blocking_tolerances_fp, max_npr_lengths_edf, max_npr_lengths_fp, NprBounds};
 pub use priority::{audsley_floating_npr, Assignment};

@@ -79,14 +79,26 @@ impl NprBounds {
 pub fn max_npr_lengths_edf(tasks: &TaskSet) -> Result<NprBounds, SchedError> {
     let horizon = demand_horizon(tasks)?;
     let points = testing_points(tasks, horizon)?;
+    // Only points before the longest deadline bound any task. `slack(t)` is
+    // taken once per point and folded into a running prefix minimum, so a
+    // task's bound is one lookup at the number of points before its
+    // deadline — the same left-to-right `min` fold as rescanning them.
+    let d_max = tasks.iter().map(|t| t.deadline()).fold(0.0f64, f64::max);
+    let mut running_min = f64::INFINITY;
+    let prefix_min: Vec<f64> = points[..points.partition_point(|&t| t < d_max)]
+        .iter()
+        .map(|&t| {
+            running_min = running_min.min(slack(tasks, t));
+            running_min
+        })
+        .collect();
     let q_max = tasks
         .iter()
         .map(|task| {
-            points
-                .iter()
-                .take_while(|&&t| t < task.deadline())
-                .map(|&t| slack(tasks, t))
-                .fold(f64::INFINITY, f64::min)
+            let before = points.partition_point(|&t| t < task.deadline());
+            before
+                .checked_sub(1)
+                .map_or(f64::INFINITY, |last| prefix_min[last])
         })
         .collect();
     Ok(NprBounds { q_max })
@@ -102,30 +114,27 @@ pub fn blocking_tolerances_fp(tasks: &TaskSet) -> Vec<f64> {
     (0..tasks.len())
         .map(|i| {
             let ti = tasks.task(i);
-            // Testing points: multiples of higher-priority periods within
-            // (0, Di], plus Di itself.
-            let mut points: Vec<f64> = vec![ti.deadline()];
+            let tolerance = |t: f64| {
+                let mut w = ti.wcet();
+                for j in 0..i {
+                    let tj = tasks.task(j);
+                    w += ceil_div(t, tj.period()) * tj.wcet();
+                }
+                t - w
+            };
+            // Testing points: Di itself plus every multiple of a
+            // higher-priority period within (0, Di). A max ignores order
+            // and duplicates, so the points are folded as they come.
+            let mut best = tolerance(ti.deadline());
             for j in 0..i {
-                let tj = tasks.task(j);
-                let mut at = tj.period();
+                let period = tasks.task(j).period();
+                let mut at = period;
                 while at < ti.deadline() {
-                    points.push(at);
-                    at += tj.period();
+                    best = best.max(tolerance(at));
+                    at += period;
                 }
             }
-            points.sort_by(f64::total_cmp);
-            points.dedup();
-            points
-                .iter()
-                .map(|&t| {
-                    let mut w = ti.wcet();
-                    for j in 0..i {
-                        let tj = tasks.task(j);
-                        w += ceil_div(t, tj.period()) * tj.wcet();
-                    }
-                    t - w
-                })
-                .fold(f64::NEG_INFINITY, f64::max)
+            best
         })
         .collect()
 }
@@ -238,5 +247,129 @@ mod tests {
             max_npr_lengths_edf(&tasks),
             Err(SchedError::Overutilized { .. })
         ));
+    }
+
+    /// The bodies of [`max_npr_lengths_edf`] and [`blocking_tolerances_fp`]
+    /// before the prefix-minimum and folded-max rewrites: the bit-identity
+    /// oracle the properties below compare against.
+    mod oracle {
+        use super::*;
+
+        pub fn max_npr_lengths_edf(tasks: &TaskSet) -> Result<NprBounds, SchedError> {
+            let horizon = demand_horizon(tasks)?;
+            let points = testing_points(tasks, horizon)?;
+            let q_max = tasks
+                .iter()
+                .map(|task| {
+                    points
+                        .iter()
+                        .take_while(|&&t| t < task.deadline())
+                        .map(|&t| slack(tasks, t))
+                        .fold(f64::INFINITY, f64::min)
+                })
+                .collect();
+            Ok(NprBounds { q_max })
+        }
+
+        pub fn blocking_tolerances_fp(tasks: &TaskSet) -> Vec<f64> {
+            (0..tasks.len())
+                .map(|i| {
+                    let ti = tasks.task(i);
+                    let mut points: Vec<f64> = vec![ti.deadline()];
+                    for j in 0..i {
+                        let tj = tasks.task(j);
+                        let mut at = tj.period();
+                        while at < ti.deadline() {
+                            points.push(at);
+                            at += tj.period();
+                        }
+                    }
+                    points.sort_by(f64::total_cmp);
+                    points.dedup();
+                    points
+                        .iter()
+                        .map(|&t| {
+                            let mut w = ti.wcet();
+                            for j in 0..i {
+                                let tj = tasks.task(j);
+                                w += ceil_div(t, tj.period()) * tj.wcet();
+                            }
+                            t - w
+                        })
+                        .fold(f64::NEG_INFINITY, f64::max)
+                })
+                .collect()
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Random sets in rate-monotonic order with constrained deadlines.
+    /// Harmonic periods (`5·2^k`) make tasks share testing points; the
+    /// per-task utilisation reaches 0.35 over up to 6 tasks, so infeasible
+    /// and over-utilised sets are common too.
+    fn arb_taskset() -> impl proptest::prelude::Strategy<Value = TaskSet> {
+        use proptest::prelude::*;
+        (
+            0u8..2,
+            prop::collection::vec((0u32..4, 2.0f64..60.0, 0.02f64..0.35, 0.3f64..=1.0), 1..7),
+        )
+            .prop_map(|(harmonic, specs)| {
+                let mut gap_sum = 0.0;
+                let mut tasks: Vec<Task> = specs
+                    .iter()
+                    .map(|&(k, gap, u, d_factor)| {
+                        gap_sum += gap;
+                        let period = if harmonic == 1 {
+                            5.0 * f64::from(1u32 << k)
+                        } else {
+                            gap_sum
+                        };
+                        let wcet = (u * period).max(0.01);
+                        let deadline = (period * d_factor).clamp(wcet, period);
+                        Task::new(wcet, period)
+                            .and_then(|t| t.with_deadline(deadline))
+                            .expect("valid task")
+                    })
+                    .collect();
+                tasks.sort_by(|a, b| a.period().total_cmp(&b.period()));
+                TaskSet::new(tasks).expect("non-empty")
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The prefix-minimum EDF bounds equal the per-task rescan bit for
+        /// bit, errors included.
+        #[test]
+        fn edf_bounds_match_the_rescan_oracle(tasks in arb_taskset()) {
+            let fast = max_npr_lengths_edf(&tasks);
+            let slow = oracle::max_npr_lengths_edf(&tasks);
+            match (fast, slow) {
+                (Ok(f), Ok(s)) => assert_eq!(bits(&f.q_max), bits(&s.q_max)),
+                (f, s) => assert_eq!(f, s),
+            }
+        }
+
+        /// The folded FP tolerances (and the bounds built on them) equal
+        /// the sorted, deduplicated scan bit for bit.
+        #[test]
+        fn fp_tolerances_match_the_sorted_scan_oracle(tasks in arb_taskset()) {
+            let beta = blocking_tolerances_fp(&tasks);
+            assert_eq!(bits(&beta), bits(&oracle::blocking_tolerances_fp(&tasks)));
+            let mut running_min = f64::INFINITY;
+            let expected: Vec<f64> = beta
+                .iter()
+                .map(|&b| {
+                    let q = running_min;
+                    running_min = running_min.min(b);
+                    q
+                })
+                .collect();
+            assert_eq!(bits(&max_npr_lengths_fp(&tasks).q_max), bits(&expected));
+        }
     }
 }

@@ -1,6 +1,5 @@
 //! Random task-set generation (UUniFast and friends).
 
-use fnpr_core::DelayCurve;
 use fnpr_sched::{max_npr_lengths_edf, max_npr_lengths_fp, SchedError, Task, TaskSet};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -185,22 +184,33 @@ pub fn with_npr_and_curves<R: Rng>(
         if !(q.is_finite() && q > 0.0) {
             return Ok(None);
         }
-        let peak = q * delay_frac;
-        let curve = random_unimodal_curve(rng, task.wcet(), peak.max(1e-9), task.wcet() / 64.0)
-            .map_err(|_| SchedError::InvalidTask {
-                what: "curve",
-                value: task.wcet(),
-            })?;
-        let clamped: DelayCurve =
-            curve
-                .clamped(peak.max(0.0))
-                .map_err(|_| SchedError::InvalidTask {
-                    what: "curve clamp",
-                    value: peak,
-                })?;
-        tasks.push(task.clone().with_q(q)?.with_delay_curve(clamped));
+        tasks.push(equip(rng, task, q, delay_frac)?);
     }
     Ok(Some(TaskSet::new(tasks)?))
+}
+
+/// `task` with region length `q` and a random unimodal curve whose peak is
+/// at most `delay_frac × q`.
+fn equip<R: Rng>(rng: &mut R, task: &Task, q: f64, delay_frac: f64) -> Result<Task, SchedError> {
+    let peak = q * delay_frac;
+    let curve = random_unimodal_curve(rng, task.wcet(), peak.max(1e-9), task.wcet() / 64.0)
+        .map_err(|_| SchedError::InvalidTask {
+            what: "curve",
+            value: task.wcet(),
+        })?;
+    // The curve's amplitude is drawn below `peak.max(1e-9)`, so the clamp
+    // only acts when `peak < 1e-9`; otherwise `clamped` would rebuild an
+    // identical copy. An invalid cap still goes through it for its error.
+    let cap = peak.max(0.0);
+    let curve = if cap.is_finite() && curve.max_value() <= cap {
+        curve
+    } else {
+        curve.clamped(cap).map_err(|_| SchedError::InvalidTask {
+            what: "curve clamp",
+            value: peak,
+        })?
+    };
+    Ok(task.clone().with_q(q)?.with_delay_curve(curve))
 }
 
 /// Equips every task of `base` with a region length and delay curve for
@@ -219,24 +229,13 @@ pub fn with_npr_and_curves_global<R: Rng>(
     q_scale: f64,
     delay_frac: f64,
 ) -> Result<TaskSet, SchedError> {
-    let mut tasks = Vec::with_capacity(base.len());
-    for task in base.iter() {
-        let q = (task.wcet() * q_scale).max(f64::MIN_POSITIVE);
-        let peak = q * delay_frac;
-        let curve = random_unimodal_curve(rng, task.wcet(), peak.max(1e-9), task.wcet() / 64.0)
-            .map_err(|_| SchedError::InvalidTask {
-                what: "curve",
-                value: task.wcet(),
-            })?;
-        let clamped: DelayCurve =
-            curve
-                .clamped(peak.max(0.0))
-                .map_err(|_| SchedError::InvalidTask {
-                    what: "curve clamp",
-                    value: peak,
-                })?;
-        tasks.push(task.clone().with_q(q)?.with_delay_curve(clamped));
-    }
+    let tasks = base
+        .iter()
+        .map(|task| {
+            let q = (task.wcet() * q_scale).max(f64::MIN_POSITIVE);
+            equip(rng, task, q, delay_frac)
+        })
+        .collect::<Result<_, _>>()?;
     TaskSet::new(tasks)
 }
 
@@ -369,6 +368,117 @@ mod tests {
             let q = t.q().expect("q set");
             let curve = t.delay_curve().expect("curve set");
             assert!(curve.max_value() < q, "delay must stay below Q");
+        }
+    }
+
+    /// The equipment bodies before the shared `equip` helper skipped the
+    /// no-op clamp: the bit-identity oracle for both entry points.
+    mod oracle {
+        use super::*;
+        use fnpr_core::DelayCurve;
+
+        fn equip_clamped<R: Rng>(
+            rng: &mut R,
+            task: &Task,
+            q: f64,
+            delay_frac: f64,
+        ) -> Result<Task, SchedError> {
+            let peak = q * delay_frac;
+            let curve = random_unimodal_curve(rng, task.wcet(), peak.max(1e-9), task.wcet() / 64.0)
+                .map_err(|_| SchedError::InvalidTask {
+                    what: "curve",
+                    value: task.wcet(),
+                })?;
+            let clamped: DelayCurve =
+                curve
+                    .clamped(peak.max(0.0))
+                    .map_err(|_| SchedError::InvalidTask {
+                        what: "curve clamp",
+                        value: peak,
+                    })?;
+            Ok(task.clone().with_q(q)?.with_delay_curve(clamped))
+        }
+
+        pub fn with_npr_and_curves<R: Rng>(
+            rng: &mut R,
+            base: &TaskSet,
+            policy: Policy,
+            q_scale: f64,
+            delay_frac: f64,
+        ) -> Result<Option<TaskSet>, SchedError> {
+            let bounds = match policy {
+                Policy::FixedPriority => max_npr_lengths_fp(base),
+                Policy::Edf => max_npr_lengths_edf(base)?,
+            };
+            if !bounds.feasible() {
+                return Ok(None);
+            }
+            let qs = bounds.capped_at_wcet(base);
+            let mut tasks = Vec::with_capacity(base.len());
+            for (task, &q_max) in base.iter().zip(&qs) {
+                let q = (q_max * q_scale).max(f64::MIN_POSITIVE);
+                if !(q.is_finite() && q > 0.0) {
+                    return Ok(None);
+                }
+                tasks.push(equip_clamped(rng, task, q, delay_frac)?);
+            }
+            Ok(Some(TaskSet::new(tasks)?))
+        }
+
+        pub fn with_npr_and_curves_global<R: Rng>(
+            rng: &mut R,
+            base: &TaskSet,
+            q_scale: f64,
+            delay_frac: f64,
+        ) -> Result<TaskSet, SchedError> {
+            let mut tasks = Vec::with_capacity(base.len());
+            for task in base.iter() {
+                let q = (task.wcet() * q_scale).max(f64::MIN_POSITIVE);
+                tasks.push(equip_clamped(rng, task, q, delay_frac)?);
+            }
+            TaskSet::new(tasks)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Both equipment entry points produce the same tasks (curves
+        /// compared with their structural hashes) and leave the RNG where
+        /// the always-clamp oracle does — including `peak < 1e-9`, where
+        /// the clamp does act, and over-utilised EDF sets, which error.
+        #[test]
+        fn equipment_matches_the_always_clamp_oracle(
+            (seed, n, utilization) in (0u64..u64::MAX, 1usize..9, 0.1f64..1.1),
+            (edf, q_scale) in (0u8..2, 0.01f64..=1.0),
+            (frac_kind, frac) in (0u8..3, 0.0f64..1.0),
+        ) {
+            let delay_frac = match frac_kind {
+                0 => frac,
+                1 => frac * 1e-13,
+                _ => 0.0,
+            };
+            let params = TaskSetParams {
+                n,
+                utilization,
+                period_range: (10.0, 1000.0),
+                deadline_factor: (0.5, 1.0),
+            };
+            let Ok(base) = random_taskset(&mut StdRng::seed_from_u64(seed), &params) else {
+                return;
+            };
+            let policy = if edf == 1 { Policy::Edf } else { Policy::FixedPriority };
+            let (mut fast_rng, mut slow_rng) =
+                (StdRng::seed_from_u64(!seed), StdRng::seed_from_u64(!seed));
+            assert_eq!(
+                with_npr_and_curves(&mut fast_rng, &base, policy, q_scale, delay_frac),
+                oracle::with_npr_and_curves(&mut slow_rng, &base, policy, q_scale, delay_frac)
+            );
+            assert_eq!(
+                with_npr_and_curves_global(&mut fast_rng, &base, q_scale, delay_frac),
+                oracle::with_npr_and_curves_global(&mut slow_rng, &base, q_scale, delay_frac)
+            );
+            assert_eq!(fast_rng.gen::<u64>(), slow_rng.gen::<u64>());
         }
     }
 }
