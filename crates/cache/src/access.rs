@@ -55,8 +55,13 @@ impl AccessMap {
     ///
     /// Returns [`CacheError::UnknownBlock`] for the first out-of-range block.
     pub fn validate(&self, cfg: &Cfg) -> Result<(), CacheError> {
+        self.validate_blocks(cfg.len())
+    }
+
+    /// [`AccessMap::validate`] against a graph of `blocks` blocks.
+    pub(crate) fn validate_blocks(&self, blocks: usize) -> Result<(), CacheError> {
         for &block in self.accesses.keys() {
-            if block.index() >= cfg.len() {
+            if block.index() >= blocks {
                 return Err(CacheError::UnknownBlock {
                     index: block.index(),
                 });

@@ -4,6 +4,14 @@
 //! reload bill if the task is preempted anywhere in block `b` and the
 //! preempter damages the given cache sets. With an unknown preempter every
 //! set is damaged (the conservative default used by the paper's pipeline).
+//!
+//! The queries read the [`UcbAnalysis`] result directly: `crpd(b)` is the
+//! block's capped count, computed once when the dataflow finishes, times
+//! the reload cost, so a full-damage query is `O(1)`. `crpd_against(b, ecb)`
+//! walks the set bits of the block's useful row once, one group per cache
+//! set (the interned lines are sorted by set), and probes `ecb` once per
+//! group — `O(⌈L / 64⌉ + u)` for `L` interned lines and `u` useful ones.
+//! With [`EcbSet::full`] it equals `crpd(b)`.
 
 use fnpr_cfg::{BlockId, Cfg};
 use serde::{Deserialize, Serialize};
@@ -18,7 +26,6 @@ use crate::ucb::UcbAnalysis;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CrpdAnalysis {
     ucb: UcbAnalysis,
-    blocks: usize,
 }
 
 impl CrpdAnalysis {
@@ -58,10 +65,8 @@ impl CrpdAnalysis {
         config: &CacheConfig,
     ) -> Result<Self, CacheError> {
         fnpr_obs::counter!("cache.crpd.analyses").incr();
-        let ucb = UcbAnalysis::analyze(cfg, accesses, config)?;
         Ok(Self {
-            ucb,
-            blocks: cfg.len(),
+            ucb: UcbAnalysis::analyze(cfg, accesses, config)?,
         })
     }
 
@@ -74,31 +79,22 @@ impl CrpdAnalysis {
     /// CRPD of block `b` against a preempter with the given evicting set.
     #[must_use]
     pub fn crpd_against(&self, b: BlockId, ecb: &EcbSet) -> f64 {
-        let config = self.ucb.config();
-        let damage: usize = self
-            .ucb
-            .useful_blocks(b)
-            .iter()
-            .enumerate()
-            .filter(|&(s, _)| ecb.contains(s))
-            .map(|(_, blocks)| blocks.len().min(config.associativity()))
-            .sum();
-        damage as f64 * config.reload_cost()
+        let damage = self.ucb.capped_damage(b, |s| ecb.contains(s));
+        damage as f64 * self.ucb.config().reload_cost()
     }
 
     /// CRPD of every block (index = block id), full damage.
     #[must_use]
     pub fn per_block(&self) -> Vec<f64> {
-        (0..self.blocks).map(|b| self.crpd(BlockId(b))).collect()
+        let cost = self.ucb.config().reload_cost();
+        self.ucb.counts().iter().map(|&c| c as f64 * cost).collect()
     }
 
     /// The task's maximum CRPD over all blocks — the `max fi` figure the
     /// Eq. 4 baseline consumes.
     #[must_use]
     pub fn max_crpd(&self) -> f64 {
-        (0..self.blocks)
-            .map(|b| self.crpd(BlockId(b)))
-            .fold(0.0, f64::max)
+        self.per_block().into_iter().fold(0.0, f64::max)
     }
 
     /// The underlying useful-cache-block analysis.

@@ -435,8 +435,8 @@ static KILL_AFTER: AtomicU64 = AtomicU64::new(KILL_DISARMED);
 /// Retired shards since the switch was last armed.
 static KILL_RETIRED: AtomicU64 = AtomicU64::new(0);
 
-/// Arms (or, with `None`, disarms) the coordinator kill switch:
-/// [`kill_switch_tick`] aborts the process once `after` shards have
+/// Arms (or, with `None`, disarms) the coordinator kill switch: the
+/// executor's per-shard tick aborts the process once `after` shards have
 /// retired. Process-global — intended for one CLI run at a time (the
 /// crash-resume drill), not for concurrent in-process campaigns.
 pub fn arm_kill_switch(after: Option<u64>) {

@@ -237,8 +237,8 @@ pub fn histogram(name: &str) -> Histogram {
     Histogram { cells }
 }
 
-/// [`counter`] with a per-call-site cached handle: the registry lock is
-/// taken once, every later pass is just the handle copy.
+/// [`counter`](fn@counter) with a per-call-site cached handle: the
+/// registry lock is taken once, every later pass is just the handle copy.
 #[macro_export]
 macro_rules! counter {
     ($name:expr) => {{
@@ -247,7 +247,7 @@ macro_rules! counter {
     }};
 }
 
-/// [`gauge`] with a per-call-site cached handle.
+/// [`gauge`](fn@gauge) with a per-call-site cached handle.
 #[macro_export]
 macro_rules! gauge {
     ($name:expr) => {{
@@ -256,7 +256,7 @@ macro_rules! gauge {
     }};
 }
 
-/// [`histogram`] with a per-call-site cached handle.
+/// [`histogram`](fn@histogram) with a per-call-site cached handle.
 #[macro_export]
 macro_rules! histogram {
     ($name:expr) => {{

@@ -194,7 +194,9 @@ impl PreparedProgram {
         accesses: &AccessMap,
         cache: &CacheConfig,
     ) -> Result<TaskAnalysis, PipelineError> {
-        self.analyze_against(accesses, cache, &EcbSet::full(cache))
+        // Full damage: `crpd_against(b, EcbSet::full(cache))` is `crpd(b)`.
+        let crpd = self.crpd(accesses, cache)?;
+        self.assemble(crpd.per_block())
     }
 
     /// Derives the delay curve against a *specific* preempter footprint
@@ -209,14 +211,22 @@ impl PreparedProgram {
         cache: &CacheConfig,
         ecb: &EcbSet,
     ) -> Result<TaskAnalysis, PipelineError> {
-        // CRPD on the original graph (the dataflow handles cycles).
-        let crpd = {
-            let _s = fnpr_obs::span("pipeline.crpd", "pipeline");
-            CrpdAnalysis::analyze(&self.cfg, accesses, cache)?
-        };
-        let crpd_per_block: Vec<f64> = (0..self.cfg.len())
-            .map(|b| crpd.crpd_against(BlockId(b), ecb))
-            .collect();
+        let crpd = self.crpd(accesses, cache)?;
+        self.assemble(
+            (0..self.cfg.len())
+                .map(|b| crpd.crpd_against(BlockId(b), ecb))
+                .collect(),
+        )
+    }
+
+    /// CRPD on the original graph (the dataflow handles cycles).
+    fn crpd(&self, accesses: &AccessMap, cache: &CacheConfig) -> Result<CrpdAnalysis, CacheError> {
+        let _s = fnpr_obs::span("pipeline.crpd", "pipeline");
+        CrpdAnalysis::analyze(&self.cfg, accesses, cache)
+    }
+
+    /// Assembles `fi` from the per-block CRPD of the original graph.
+    fn assemble(&self, crpd_per_block: Vec<f64>) -> Result<TaskAnalysis, PipelineError> {
         let _curve_span = fnpr_obs::span("pipeline.curve", "pipeline");
         // fi(t) = max CRPD over the blocks possibly executing at t; a
         // super-block inherits the max of its members.
@@ -280,7 +290,7 @@ pub fn analyze_task(
     accesses: &AccessMap,
     cache: &CacheConfig,
 ) -> Result<TaskAnalysis, PipelineError> {
-    analyze_task_against(cfg, loop_bounds, accesses, cache, &EcbSet::full(cache))
+    PreparedProgram::new(cfg, loop_bounds)?.analyze(accesses, cache)
 }
 
 /// [`analyze_task`] against a *specific* preempter footprint — the paper's
